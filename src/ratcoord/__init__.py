@@ -34,7 +34,6 @@ from .genfunc import (
     RationalGF,
     cumulative_to_exact,
     fit_rational,
-    gf_add,
     gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
@@ -105,7 +104,6 @@ __all__ = [
     "disambiguate",
     "enumerate_in_box",
     "fit_rational",
-    "gf_add",
     "gf_from_json",
     "gf_to_json",
     "gf_unambiguous_linear",

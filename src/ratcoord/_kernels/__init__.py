@@ -3,12 +3,15 @@
 The compiled extension (``_speed``, built from Cython) is used when it
 imported successfully and the problem fits its fixed-width integer encoding;
 otherwise each call transparently falls back to the reference implementation
-in :mod:`ratcoord._kernels.pure`.  Set ``RATCOORD_PURE=1`` to force the pure
-backend (used by the benchmark and the backend-equivalence tests).
+in :mod:`ratcoord._kernels.pure`.  ``linear_point_counts`` has no compiled
+twin and always runs the reference implementation.  Set ``RATCOORD_PURE=1``
+to force the pure backend (used by the benchmark and the backend-equivalence
+tests).
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 
@@ -24,64 +27,24 @@ if not os.environ.get("RATCOORD_PURE"):
 BACKEND = "compiled" if _speed is not None else "python"
 
 
-def bfs_layer_counts(dim, neighbor_specs, origin_orbit, depth, max_visited):
-    if _speed is not None:
+def _dispatch(name):
+    """Kernel ``name``: the compiled one, or the pure one on OverflowError."""
+    reference = getattr(pure, name)
+    if _speed is None:
+        return reference
+    compiled = getattr(_speed, name)
+
+    @functools.wraps(reference)
+    def kernel(*args):
         try:
-            return _speed.bfs_layer_counts(
-                dim, neighbor_specs, origin_orbit, depth, max_visited
-            )
+            return compiled(*args)
         except OverflowError:
-            pass
-    return pure.bfs_layer_counts(
-        dim, neighbor_specs, origin_orbit, depth, max_visited
-    )
+            return reference(*args)
+
+    return kernel
 
 
-def accepting_run_profiles(
-    num_states,
-    sources,
-    targets,
-    outputs,
-    initial,
-    final,
-    max_len,
-    max_entries,
-    prune_states,
-):
-    if _speed is not None:
-        try:
-            return _speed.accepting_run_profiles(
-                num_states,
-                sources,
-                targets,
-                outputs,
-                initial,
-                final,
-                max_len,
-                max_entries,
-                prune_states,
-            )
-        except OverflowError:
-            pass
-    return pure.accepting_run_profiles(
-        num_states,
-        sources,
-        targets,
-        outputs,
-        initial,
-        final,
-        max_len,
-        max_entries,
-        prune_states,
-    )
-
-
-def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
-    if _speed is not None:
-        try:
-            return _speed.linear_points_in_box(
-                base, periods, lo, hi, weights, max_nodes
-            )
-        except OverflowError:
-            pass
-    return pure.linear_points_in_box(base, periods, lo, hi, weights, max_nodes)
+bfs_layer_counts = _dispatch("bfs_layer_counts")
+accepting_run_profiles = _dispatch("accepting_run_profiles")
+linear_points_in_box = _dispatch("linear_points_in_box")
+linear_point_counts = pure.linear_point_counts  # no compiled twin

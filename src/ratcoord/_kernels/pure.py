@@ -103,14 +103,21 @@ def accepting_run_profiles(
     return accepted
 
 
-def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
-    """All points ``base + sum n_j * periods[j]`` inside the box ``[lo, hi]``.
+def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
+    """Points ``base + sum n_j * periods[j]`` in ``[lo, hi]``, with multiplicity.
+
+    Returns ``{point: number of coefficient tuples giving it}``.  The periods
+    are added one at a time to a dict of partial sums; equal partial sums
+    merge and add their multiplicities, so shared subtrees are expanded once
+    and the counts stay exact.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
     period (or None).  Bounds on each multiplicity come from coordinates
     where all remaining periods share a sign, and from the weight functional;
     levels with no derivable bound fall back to the node budget, so the
-    search always terminates (possibly with BudgetExceeded).
+    search always terminates (possibly with BudgetExceeded).  One node is
+    counted for the base and one for every partial sum generated, before
+    equal ones merge: the count of the recursive compiled twin.
     """
     dim = len(base)
     k = len(periods)
@@ -125,52 +132,54 @@ def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
         whi = sum(
             w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi)
         )
-        wperiods = [sum(w * p for w, p in zip(weights, per)) for per in periods]
 
-    out = set()
-    nodes = 0
-    seen = set()  # (level, point): dependent periods revisit subtrees
-
-    def recurse(j, cur):
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-        if j == k:
-            if all(l <= c <= h for l, c, h in zip(lo, cur, hi)):
-                out.add(tuple(cur))
-            return
-        key = (j, tuple(cur))
-        if key in seen:
-            return
-        seen.add(key)
-        for i in range(dim):
-            if suffix_nonneg[j][i] and cur[i] > hi[i]:
-                return
-            if suffix_nonpos[j][i] and cur[i] < lo[i]:
-                return
-        period = periods[j]
-        bound = None
-        for i in range(dim):
-            if period[i] > 0 and suffix_nonneg[j + 1][i]:
-                b = (hi[i] - cur[i]) // period[i]
-                if bound is None or b < bound:
-                    bound = b
-            elif period[i] < 0 and suffix_nonpos[j + 1][i]:
-                b = (cur[i] - lo[i]) // (-period[i])
-                if bound is None or b < bound:
-                    bound = b
+    if max_nodes < 1:  # the base alone is one node
+        raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
+    level = {tuple(base): 1}
+    nodes = 1
+    for j, period in enumerate(periods):
+        # a point past the box where every remaining period moves it further
+        # away cannot come back
+        past_hi = [i for i in range(dim) if suffix_nonneg[j][i]]
+        past_lo = [i for i in range(dim) if suffix_nonpos[j][i]]
+        rising = [
+            i for i in range(dim) if period[i] > 0 and suffix_nonneg[j + 1][i]
+        ]
+        falling = [
+            i for i in range(dim) if period[i] < 0 and suffix_nonpos[j + 1][i]
+        ]
         if weights is not None:
-            room = whi - sum(w * c for w, c in zip(weights, cur))
-            b = room // wperiods[j]
-            if bound is None or b < bound:
-                bound = b
-        if bound is None:
-            bound = max_nodes  # no structural bound; the budget backstops
-        point = list(cur)
-        for _ in range(bound + 1):
-            recurse(j + 1, point)
-            point = [c + p for c, p in zip(point, period)]
+            wperiod = sum(w * p for w, p in zip(weights, period))
+        nxt: dict = {}
+        for cur, mult in level.items():
+            if any(cur[i] > hi[i] for i in past_hi) or any(
+                cur[i] < lo[i] for i in past_lo
+            ):
+                continue
+            bounds = [(hi[i] - cur[i]) // period[i] for i in rising]
+            bounds += [(cur[i] - lo[i]) // -period[i] for i in falling]
+            if weights is not None:
+                room = whi - sum(w * c for w, c in zip(weights, cur))
+                bounds.append(room // wperiod)
+            # no structural bound: the budget backstops
+            bound = min(bounds) if bounds else max_nodes
+            if bound < 0:
+                continue
+            nodes += bound + 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
+            point = cur
+            for _ in range(bound + 1):
+                nxt[point] = nxt.get(point, 0) + mult
+                point = tuple([c + p for c, p in zip(point, period)])
+        level = nxt
+    return {
+        point: mult
+        for point, mult in level.items()
+        if all(l <= c <= h for l, c, h in zip(lo, point, hi))
+    }
 
-    recurse(0, list(base))
-    return out
+
+def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
+    """The points of :func:`linear_point_counts`, as a set."""
+    return set(linear_point_counts(base, periods, lo, hi, weights, max_nodes))

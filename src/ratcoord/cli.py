@@ -8,7 +8,8 @@ predicted verification window.  Reports carry both artifacts plus pairwise
 coefficient comparisons, and serialize to deterministic JSON.
 
 Exit codes: 0 all produced artifacts agree; 2 parse/usage error;
-3 coefficient mismatch; 4 budget exhaustion with no usable output.
+3 coefficient mismatch; 4 no generating function produced (no fit, budget
+exhaustion or failed decomposition on every requested path).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class PipelineReport:
     bfs_sequence: CoordinationSequence
     gf_fit: RationalGF | None
     gf_symbolic: RationalGF | None
+    fit_status: str  # ok | no_fit
     symbolic_status: str  # ok | decomposition_failed | budget_exceeded
     agreement: tuple[dict, ...]
 
@@ -71,6 +73,7 @@ class PipelineReport:
             "gf_symbolic": (
                 gf_to_json(self.gf_symbolic) if self.gf_symbolic else None
             ),
+            "fit_status": self.fit_status,
             "symbolic_status": self.symbolic_status,
             "agreement": list(self.agreement),
         }
@@ -146,23 +149,28 @@ def pipeline_coordination_gf(
 ) -> PipelineReport:
     """Run the requested pipeline paths and cross-compare their coefficients.
 
-    A symbolic-path failure is recorded in ``symbolic_status`` and does not
-    abort the fit path.  ``_tamper_symbolic`` is test instrumentation: it
-    maps the symbolic result to a corrupted one so the harness can prove it
-    detects mismatches.
+    A path that fails records it in its own status (``fit_status``,
+    ``symbolic_status``) and does not abort the other path; a path that was
+    not requested keeps status ``ok``.  ``_tamper_symbolic`` is test
+    instrumentation: it maps the symbolic result to a corrupted one so the
+    harness can prove it detects mismatches.
     """
     if method not in ("symbolic", "fit", "both"):
         raise ValueError(f"unknown method {method!r}")
     sequence = bfs_coordination(g, origin_orbit, depth)
 
     gf_fit = None
+    fit_status = "ok"
     if method in ("fit", "both"):
         max_order = (
             fit_max_order
             if fit_max_order is not None
             else max(0, (len(sequence.values) - verify_window) // 2)
         )
-        gf_fit = fit_rational(sequence.values, max_order, verify_window)
+        try:
+            gf_fit = fit_rational(sequence.values, max_order, verify_window)
+        except ValueError:  # prefix too short, or no recurrence explains it
+            fit_status = "no_fit"
 
     gf_symbolic = None
     symbolic_status = "ok"
@@ -198,6 +206,7 @@ def pipeline_coordination_gf(
         bfs_sequence=sequence,
         gf_fit=gf_fit,
         gf_symbolic=gf_symbolic,
+        fit_status=fit_status,
         symbolic_status=symbolic_status,
         agreement=agreement,
     )
@@ -241,6 +250,7 @@ def cross_verify(
         bfs_sequence=report.bfs_sequence,
         gf_fit=report.gf_fit,
         gf_symbolic=report.gf_symbolic,
+        fit_status=report.fit_status,
         symbolic_status=report.symbolic_status,
         agreement=report.agreement + (entry,),
     )
@@ -295,6 +305,7 @@ def _print_report(report: PipelineReport, as_json: bool) -> None:
         print("gf_fit:", report.gf_fit)
     if report.gf_symbolic is not None:
         print("gf_symbolic:", report.gf_symbolic)
+    print("fit_status:", report.fit_status)
     print("symbolic_status:", report.symbolic_status)
     for entry in report.agreement:
         status = "ok" if entry["ok"] else f"mismatch@{entry['first_mismatch']}"
@@ -304,7 +315,7 @@ def _print_report(report: PipelineReport, as_json: bool) -> None:
 def _report_exit_code(report: PipelineReport) -> int:
     if not report.all_ok():
         return 3
-    if report.produced_gf() is None and report.symbolic_status != "ok":
+    if report.produced_gf() is None:
         return 4
     return 0
 

@@ -196,11 +196,6 @@ class RationalGF:
         return cls((1,), (1,))
 
 
-def gf_add(a: RationalGF, b: RationalGF) -> RationalGF:
-    """Canonical sum of two generating functions."""
-    return a + b
-
-
 def cumulative_to_exact(q: RationalGF) -> RationalGF:
     """Multiply by (1 - z): partial-sum counts become exact-distance counts."""
     return RationalGF(_pmul(q.num, (1, -1)), q.den)

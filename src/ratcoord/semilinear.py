@@ -3,14 +3,16 @@
 A linear set is ``{base + n_1*p_1 + ... + n_k*p_k : n_j in N}``; a semilinear
 set is a finite union of linear sets.  A linear set is unambiguous when every
 member has exactly one coefficient tuple.  The operations here are all exact
-and bounded: representation counting is an exhaustive pruned search, and the
-disambiguation procedure is a restricted greedy search whose output is only
-ever returned together with a successful box certification.
+and bounded: counting, enumeration and certification all run one lattice-point
+kernel that returns the multiplicity of every point of a linear set inside a
+box, and the disambiguation procedure is a restricted greedy search whose
+output is only ever returned together with a successful box certification.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -139,128 +141,43 @@ def _positive_functional(periods: tuple, dim: int):
     return None
 
 
-@lru_cache(maxsize=4096)
-def _congruence_invariants(periods: tuple, dim: int):
-    """Functionals w and moduli q with w . p = 0 mod q for all periods.
-
-    Any member v of the linear set then satisfies w.(v - base) = 0 mod q, a
-    cheap necessary condition used to prune representation searches.
-    """
-    invariants = []
-    for q in (2, 3):
-        if dim > 6:
-            break
-        for w in itertools.product(range(q), repeat=dim):
-            if all(x == 0 for x in w):
-                continue
-            if all(sum(a * b for a, b in zip(w, p)) % q == 0 for p in periods):
-                invariants.append((q, w))
-    return tuple(invariants)
-
-
 def _check_dim(l_or_s, v):
     dim = l_or_s.dim
     if dim is not None and len(v) != dim:
         raise ValueError(f"vector {v} has wrong dimension (expected {dim})")
 
 
+def _magnitude(parts) -> int:
+    """Largest coordinate magnitude among bases and periods (at least 1)."""
+    vectors = [vec for part in parts for vec in (part.base, *part.periods)]
+    return max([1] + [abs(x) for vec in vectors for x in vec])
+
+
 # ---------------------------------------------------------------------------
 # representation counting and membership
 
-def count_representations(
-    l: LinearSet,
-    v,
-    budget: int = 1_000_000,
-    congruence_pruning: bool = True,
-) -> int:
+def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     """Exact number of coefficient tuples representing v in the linear set.
 
-    Exhaustive search over coefficient tuples, pruned by sign-monotone
-    coordinates, a positive functional when one exists, congruence
-    invariants, and a rational-relaxation feasibility check; ``budget`` caps
-    explored nodes and exceeding it raises BudgetExceeded.
+    Linearly independent periods are settled by exact rational elimination;
+    otherwise the multiplicity kernel counts over the one-point box
+    ``[v, v]``, after a rational feasibility check when no positive
+    functional bounds that search.  ``budget`` caps explored nodes and
+    exceeding it raises BudgetExceeded.
     """
     _check_dim(l, v)
-    target = tuple(int(a) - b for a, b in zip(v, l.base))
-    periods = l.periods
-    k = len(periods)
-    if k == 0:
-        return 1 if all(x == 0 for x in target) else 0
-    if congruence_pruning:
-        for q, w in _congruence_invariants(periods, l.dim):
-            if sum(a * b for a, b in zip(w, target)) % q != 0:
-                return 0
-    relaxed = solve_columns(periods, target)
-    if relaxed is None:
-        return 0
-    solution, free = relaxed
-    if not free:
-        ok = all(x.denominator == 1 and x >= 0 for x in solution)
-        return 1 if ok else 0
-    return _count_search(periods, target, budget)
-
-
-def _count_search(periods, target, budget):
-    dim = len(target)
-    k = len(periods)
-    w = _positive_functional(periods, dim)
-    suffix_nonneg = [[True] * dim for _ in range(k + 1)]
-    suffix_nonpos = [[True] * dim for _ in range(k + 1)]
-    for j in range(k - 1, -1, -1):
-        for i in range(dim):
-            suffix_nonneg[j][i] = suffix_nonneg[j + 1][i] and periods[j][i] >= 0
-            suffix_nonpos[j][i] = suffix_nonpos[j + 1][i] and periods[j][i] <= 0
-    if w is not None:
-        wperiods = [sum(a * b for a, b in zip(w, p)) for p in periods]
-    nodes = 0
-
-    def rec(j, residual):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(
-                f"representation search exceeded {budget} nodes"
-            )
-        if j == k:
-            return 1 if all(x == 0 for x in residual) else 0
-        for i in range(dim):
-            if suffix_nonneg[j][i] and residual[i] < 0:
-                return 0
-            if suffix_nonpos[j][i] and residual[i] > 0:
-                return 0
-        period = periods[j]
-        if j == k - 1:
-            # single remaining period: the multiplicity is forced
-            pivot = next(i for i in range(dim) if period[i] != 0)
-            n, r = divmod(residual[pivot], period[pivot])
-            if r != 0 or n < 0:
-                return 0
-            ok = all(residual[i] == n * period[i] for i in range(dim))
+    v = tuple(int(x) for x in v)
+    w = _positive_functional(l.periods, l.dim)
+    # more periods than coordinates are dependent, so there is no shortcut
+    if w is None or len(l.periods) <= l.dim:
+        relaxed = solve_columns(l.periods, [a - b for a, b in zip(v, l.base)])
+        if relaxed is None:
+            return 0
+        solution, free = relaxed
+        if not free:
+            ok = all(x.denominator == 1 and x >= 0 for x in solution)
             return 1 if ok else 0
-        bound = None
-        for i in range(dim):
-            if period[i] > 0 and suffix_nonneg[j + 1][i]:
-                b = residual[i] // period[i]
-                bound = b if bound is None else min(bound, b)
-            elif period[i] < 0 and suffix_nonpos[j + 1][i]:
-                b = residual[i] // period[i]  # both negative: floor is fine
-                bound = b if bound is None else min(bound, b)
-        if w is not None:
-            room = sum(a * b for a, b in zip(w, residual))
-            if room < 0:
-                return 0
-            b = room // wperiods[j]
-            bound = b if bound is None else min(bound, b)
-        if bound is None:
-            bound = budget  # no structural bound; node budget backstops
-        total = 0
-        res = list(residual)
-        for _ in range(bound + 1):
-            total += rec(j + 1, res)
-            res = [a - b for a, b in zip(res, period)]
-        return total
-
-    return rec(0, list(target))
+    return _part_counts(l, v, v, budget).get(v, 0)
 
 
 def member(s: SemilinearSet, v, budget: int = 1_000_000) -> bool:
@@ -274,9 +191,10 @@ def member(s: SemilinearSet, v, budget: int = 1_000_000) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _part_points_in_box(part: LinearSet, lo, hi, budget):
+def _part_counts(part: LinearSet, lo, hi, budget):
+    """Box points of one part with their representation multiplicities."""
     w = _positive_functional(part.periods, part.dim)
-    return _kernels.linear_points_in_box(
+    return _kernels.linear_point_counts(
         part.base, part.periods, tuple(lo), tuple(hi), w, budget
     )
 
@@ -290,33 +208,11 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
     points = set()
     for part in s.parts:
-        points |= _part_points_in_box(part, lo, hi, budget)
+        w = _positive_functional(part.periods, part.dim)
+        points |= _kernels.linear_points_in_box(
+            part.base, part.periods, lo, hi, w, budget
+        )
     return points
-
-
-def _slice_points(part: LinearSet, idx: int, y_max: int):
-    """Points of one part with coordinate-idx projection <= y_max."""
-    weights = [p[idx] for p in part.periods]
-    out = set()
-    seen = set()
-
-    def rec(j, cur):
-        if j == len(part.periods):
-            out.add(tuple(cur))
-            return
-        key = (j, tuple(cur))
-        if key in seen:
-            return
-        seen.add(key)
-        step = part.periods[j]
-        point = list(cur)
-        for _ in range((y_max - cur[idx]) // weights[j] + 1):
-            rec(j + 1, point)
-            point = [a + b for a, b in zip(point, step)]
-
-    if part.base[idx] <= y_max:
-        rec(0, list(part.base))
-    return out
 
 
 def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
@@ -341,9 +237,20 @@ def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
                     f"finite-slice condition violated: period {period} has "
                     f"coordinate-{i} projection {period[idx]} <= 0"
                 )
+    # each period adds >= 1 to coordinate i and no base is below 0, so a
+    # point with y <= y_max uses at most y_max periods: this box holds them
+    # all, and weighting coordinate i alone bounds every step (the slice
+    # condition makes the search finite, so no node budget applies)
+    dim = s.dim or 0  # an empty set has no dimension and no points
+    reach = _magnitude(s.parts) * (y_max + 1)
+    lo = tuple(0 if j == idx else -reach for j in range(dim))
+    hi = tuple(y_max if j == idx else reach for j in range(dim))
+    weights = tuple(1 if j == idx else 0 for j in range(dim))
     points = set()
     for part in s.parts:
-        points |= _slice_points(part, idx, y_max)
+        points |= _kernels.linear_points_in_box(
+            part.base, part.periods, lo, hi, weights, sys.maxsize
+        )
     counts = [0] * (y_max + 1)
     for point in points:
         counts[point[idx]] += 1
@@ -352,73 +259,6 @@ def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # unambiguity
-
-def _default_radius(parts) -> int:
-    magnitude = 1
-    for part in parts:
-        for vec in (part.base, *part.periods):
-            magnitude = max(magnitude, *(abs(x) for x in vec)) if vec else magnitude
-    return 4 * magnitude
-
-
-def _representation_map(l: LinearSet, lo, hi, budget):
-    """Map from box points to their representation multiplicities."""
-    dim = l.dim
-    periods = l.periods
-    k = len(periods)
-    w = _positive_functional(periods, dim)
-    suffix_nonneg = [[True] * dim for _ in range(k + 1)]
-    suffix_nonpos = [[True] * dim for _ in range(k + 1)]
-    for j in range(k - 1, -1, -1):
-        for i in range(dim):
-            suffix_nonneg[j][i] = suffix_nonneg[j + 1][i] and periods[j][i] >= 0
-            suffix_nonpos[j][i] = suffix_nonpos[j + 1][i] and periods[j][i] <= 0
-    if w is not None:
-        whi = sum(
-            wi * (h if wi > 0 else low) for wi, low, h in zip(w, lo, hi)
-        )
-        wperiods = [sum(a * b for a, b in zip(w, p)) for p in periods]
-    counts: dict[tuple, int] = {}
-    nodes = 0
-
-    def rec(j, cur):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"representation map exceeded {budget} nodes")
-        if j == k:
-            if all(low <= c <= h for low, c, h in zip(lo, cur, hi)):
-                key = tuple(cur)
-                counts[key] = counts.get(key, 0) + 1
-            return
-        for i in range(dim):
-            if suffix_nonneg[j][i] and cur[i] > hi[i]:
-                return
-            if suffix_nonpos[j][i] and cur[i] < lo[i]:
-                return
-        period = periods[j]
-        bound = None
-        for i in range(dim):
-            if period[i] > 0 and suffix_nonneg[j + 1][i]:
-                b = (hi[i] - cur[i]) // period[i]
-                bound = b if bound is None else min(bound, b)
-            elif period[i] < 0 and suffix_nonpos[j + 1][i]:
-                b = (cur[i] - lo[i]) // (-period[i])
-                bound = b if bound is None else min(bound, b)
-        if w is not None:
-            room = whi - sum(a * b for a, b in zip(w, cur))
-            b = room // wperiods[j]
-            bound = b if bound is None else min(bound, b)
-        if bound is None:
-            bound = budget
-        point = list(cur)
-        for _ in range(bound + 1):
-            rec(j + 1, point)
-            point = [a + b for a, b in zip(point, period)]
-
-    rec(0, list(l.base))
-    return counts
-
 
 def check_unambiguous(l: LinearSet, box_radius: int | None = None, budget: int = 1_000_000):
     """Decide unambiguity of one linear set.
@@ -431,11 +271,11 @@ def check_unambiguous(l: LinearSet, box_radius: int | None = None, budget: int =
     k = len(l.periods)
     if k == 0 or rank(l.periods) == k:
         return Unambiguous()
-    radius = box_radius if box_radius is not None else _default_radius([l])
+    radius = box_radius if box_radius is not None else 4 * _magnitude([l])
     lo = tuple(b - radius for b in l.base)
     hi = tuple(b + radius for b in l.base)
     try:
-        counts = _representation_map(l, lo, hi, budget)
+        counts = _part_counts(l, lo, hi, budget)
     except BudgetExceeded:
         return Unknown()
     witnesses = [point for point, c in counts.items() if c >= 2]
@@ -466,21 +306,22 @@ def validate_decomposition(
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     orig_points = enumerate_in_box(original, lo, hi, budget)
-    part_points = [
-        _part_points_in_box(part, lo, hi, budget) for part in candidate.parts
-    ]
-    union = set()
-    for points in part_points:
-        if union & points:
+    return _certify(orig_points, candidate.parts, lo, hi, budget)
+
+
+def _certify(orig_points, parts, lo, hi, budget) -> bool:
+    """validate_decomposition against already enumerated original points.
+
+    One kernel pass per part gives both its box points and their
+    multiplicities.
+    """
+    union: set = set()
+    for part in parts:
+        counts = _part_counts(part, lo, hi, budget)
+        if any(c != 1 for c in counts.values()) or not union.isdisjoint(counts):
             return False
-        union |= points
-    if union != orig_points:
-        return False
-    for part, points in zip(candidate.parts, part_points):
-        for point in sorted(points):
-            if count_representations(part, point, budget=budget) != 1:
-                return False
-    return True
+        union.update(counts)
+    return union == orig_points
 
 
 def _independent_subsets(universe, max_size):
@@ -517,7 +358,7 @@ def disambiguate(
     if not parts:
         return _mark_certified(SemilinearSet(()))
     dim = parts[0].dim
-    magnitude = max(1, _default_radius(parts) // 4)
+    magnitude = _magnitude(parts)
     radius = box_radius if box_radius is not None else 4 * magnitude
     radius = max(radius, magnitude + 1)
     lo = (-radius,) * dim
@@ -540,7 +381,7 @@ def disambiguate(
 
     # fast path: the input itself may already be certifiable
     if all(rank(part.periods) == len(part.periods) for part in parts):
-        if validate_decomposition(source, source, lo, hi, budget):
+        if _certify(orig_points, parts, lo, hi, budget):
             return _mark_certified(source)
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
@@ -578,12 +419,11 @@ def disambiguate(
         chosen.append(LinearSet(base, periods))
         covered |= points
         uncovered -= points
-    result = SemilinearSet(tuple(chosen))
-    if not validate_decomposition(source, result, lo, hi, budget):
+    if not _certify(orig_points, chosen, lo, hi, budget):
         raise DecompositionError(
             "greedy cover failed box certification"
         )
-    return _mark_certified(result)
+    return _mark_certified(SemilinearSet(tuple(chosen)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ratcoord import (
     SemilinearSet,
     cumulative_to_exact,
     fit_rational,
-    gf_add,
     gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
@@ -61,26 +60,26 @@ class TestAdd:
     def test_common_denominator(self):
         a = RationalGF((0, 0, 1), (1, 0, -1))
         b = RationalGF((0, 0, 0, 1), (1, 0, -1))
-        assert gf_add(a, b) == RationalGF((0, 0, 1, 1), (1, 0, -1))
+        assert a + b == RationalGF((0, 0, 1, 1), (1, 0, -1))
 
     def test_with_one(self):
         a = RationalGF((0, 0, 1), (1, 0, -1))
         b = RationalGF((0, 0, 0, 1), (1, 0, -1))
-        total = gf_add(gf_add(RationalGF.one(), a), b)
+        total = RationalGF.one() + a + b
         assert total == RationalGF((1, 0, 0, 1), (1, 0, -1))
         assert series_coeffs(total, 6) == [1, 0, 1, 1, 1, 1, 1]
 
     def test_additive_identity(self, gf_corpus):
         for q in gf_corpus:
-            assert gf_add(q, RationalGF.zero()) == q
+            assert q + RationalGF.zero() == q
 
     def test_commutative_associative(self, gf_corpus):
         qs = gf_corpus[:6]
         for a in qs:
             for b in qs:
-                assert gf_add(a, b) == gf_add(b, a)
+                assert a + b == b + a
                 for c in qs[:4]:
-                    assert gf_add(gf_add(a, b), c) == gf_add(a, gf_add(b, c))
+                    assert (a + b) + c == a + (b + c)
 
 
 class TestCumulativeToExact:

@@ -1,6 +1,12 @@
-"""Backend equivalence: the compiled kernels must match the pure ones."""
+"""Backend equivalence: the compiled kernels must match the pure ones; the
+box kernel must match a brute-force count."""
+
+import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratcoord
 from ratcoord import build_coordination_nfa, parse_periodic_graph
@@ -53,21 +59,33 @@ class TestBackendEquivalence:
         args = _nfa_args(nfa, 10, prune)
         assert pure.accepting_run_profiles(*args) == _speed.accepting_run_profiles(*args)
 
-    @pytest.mark.parametrize(
-        "base,periods,lo,hi,w",
-        [
-            ((2, 2), ((2, 0), (1, 1), (0, 2)), (0, 0), (14, 14), (1, 1)),
-            ((0,), ((2,), (3,)), (-4,), (30,), (1,)),
-            ((0, 0), ((1, -1), (1, 1)), (-6, -6), (6, 6), (1, 0)),
-            ((0, 0, 0), ((1, 0, 1), (0, 1, 1), (0, 0, 1)), (-9, -9, -9), (9, 9, 9), (0, 0, 1)),
-            ((1, 1), (), (0, 0), (3, 3), None),
-            ((5, 5), ((1, 0),), (0, 0), (3, 3), None),
-        ],
-    )
+    BOX_CASES = [
+        ((2, 2), ((2, 0), (1, 1), (0, 2)), (0, 0), (14, 14), (1, 1)),
+        ((0,), ((2,), (3,)), (-4,), (30,), (1,)),
+        ((0, 0), ((1, -1), (1, 1)), (-6, -6), (6, 6), (1, 0)),
+        ((0, 0, 0), ((1, 0, 1), (0, 1, 1), (0, 0, 1)), (-9, -9, -9), (9, 9, 9), (0, 0, 1)),
+        ((1, 1), (), (0, 0), (3, 3), None),
+        ((5, 5), ((1, 0),), (0, 0), (3, 3), None),
+    ]
+
+    @pytest.mark.parametrize("base,periods,lo,hi,w", BOX_CASES)
     def test_points_in_box(self, base, periods, lo, hi, w):
         a = pure.linear_points_in_box(base, periods, lo, hi, w, 10**6)
         b = _speed.linear_points_in_box(base, periods, lo, hi, w, 10**6)
         assert a == b
+
+    @pytest.mark.parametrize("base,periods,lo,hi,w", BOX_CASES)
+    def test_box_budgets_match(self, base, periods, lo, hi, w):
+        # the least budget the pure kernel needs is also the compiled one's
+        need = next(
+            n
+            for n in itertools.count(0)
+            if _fits(pure.linear_points_in_box, base, periods, lo, hi, w, n)
+        )
+        assert _fits(_speed.linear_points_in_box, base, periods, lo, hi, w, need)
+        assert not _fits(
+            _speed.linear_points_in_box, base, periods, lo, hi, w, need - 1
+        )
 
     def test_budget_errors_match(self):
         g = parse_periodic_graph(GRAPH_TEXTS["square"])
@@ -94,7 +112,7 @@ class TestBackendEquivalence:
         cmd = [
             sys.executable,
             "-m",
-            "ratcoord.cli",
+            "ratcoord",
             "verify",
             str(path),
             "--origin",
@@ -107,6 +125,65 @@ class TestBackendEquivalence:
         env = dict(os.environ, RATCOORD_PURE="1")
         pure_run = subprocess.run(cmd, capture_output=True, check=True, env=env)
         assert compiled.stdout == pure_run.stdout
+
+
+def _fits(kernel, *args):
+    try:
+        kernel(*args)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+@st.composite
+def small_linear_sets(draw):
+    """(base, periods, lo, hi, weights) with ``weights . p >= 1`` throughout.
+
+    Periods may be dependent, repeated, or negative in some coordinates.
+    """
+    dim = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * dim)
+    weights = draw(st.tuples(*[st.integers(-1, 1)] * dim).filter(any))
+    periods = draw(
+        st.lists(
+            vectors.filter(lambda p: sum(w * x for w, x in zip(weights, p)) >= 1),
+            max_size=3,
+        )
+    )
+    base = draw(vectors)
+    lo = draw(st.tuples(*[st.integers(-4, 1)] * dim))
+    hi = tuple(low + draw(st.integers(0, 4)) for low in lo)
+    return base, tuple(periods), lo, hi, weights
+
+
+def _brute_force_counts(base, periods, lo, hi, weights):
+    # weights . p >= 1 for every period, so the coefficients of any point in
+    # the box sum to at most max(weights . box) - weights . base
+    top = sum(w * (h if w > 0 else low) for w, low, h in zip(weights, lo, hi))
+    reach = top - sum(w * b for w, b in zip(weights, base))
+    counts = Counter()
+    for ns in itertools.product(range(max(reach, 0) + 1), repeat=len(periods)):
+        point = tuple(
+            b + sum(n * p[i] for n, p in zip(ns, periods))
+            for i, b in enumerate(base)
+        )
+        if all(low <= c <= h for low, c, h in zip(lo, point, hi)):
+            counts[point] += 1
+    return dict(counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_linear_sets())
+def test_point_counts_match_brute_force(case):
+    base, periods, lo, hi, weights = case
+    counts = pure.linear_point_counts(base, periods, lo, hi, weights, 10**6)
+    assert counts == _brute_force_counts(base, periods, lo, hi, weights)
+    assert pure.linear_points_in_box(base, periods, lo, hi, weights, 10**6) == set(
+        counts
+    )
+    if all(x >= 0 for p in periods for x in p):
+        # sign-monotone coordinates alone bound the search
+        assert pure.linear_point_counts(base, periods, lo, hi, None, 10**6) == counts
 
 
 def test_backend_name_exposed():

@@ -130,6 +130,7 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "gf_fit: (1 + 2*z + z^2)/(1 - 2*z + z^2)" in out
+        assert "fit_status: ok" in out
 
     def test_gf_json_both(self, graph_files, capsys):
         code = main(
@@ -139,8 +140,57 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["gf_fit"] == {"num": [1, 2, 1], "den": [1, -2, 1]}
         assert data["gf_symbolic"] == {"num": [1, 2, 1], "den": [1, -2, 1]}
+        assert data["fit_status"] == "ok"
         assert data["symbolic_status"] == "ok"
         assert all(entry["ok"] for entry in data["agreement"])
+
+    def test_no_fit_leaves_symbolic_result(self, graph_files, capsys):
+        # five terms are too few to fit, but the symbolic path still runs
+        code = main(
+            ["gf", graph_files["square"], "--origin", "1", "--depth", "4", "--json"]
+        )
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["fit_status"] == "no_fit"
+        assert data["gf_fit"] is None
+        assert data["gf_symbolic"] == {"num": [1, 2, 1], "den": [1, -2, 1]}
+        assert data["symbolic_status"] == "ok"
+        assert [e["pair"] for e in data["agreement"]] == ["bfs_vs_symbolic"]
+
+    def test_no_fit_alone_exits_four(self, graph_files, capsys):
+        code = main(
+            [
+                "gf",
+                graph_files["square"],
+                "--origin",
+                "1",
+                "--method",
+                "fit",
+                "--depth",
+                "4",
+            ]
+        )
+        assert code == 4
+        assert "fit_status: no_fit" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_warning_free(self, graph_files):
+        cmd = [
+            sys.executable,
+            "-W",
+            "error",
+            "-m",
+            "ratcoord",
+            "bfs",
+            graph_files["square"],
+            "--origin",
+            "1",
+            "--depth",
+            "5",
+        ]
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "1 4 8 12 16 20\n"
+        assert run.stderr == ""
 
     def test_verify_exit_zero(self, graph_files, capsys):
         code = main(
@@ -177,7 +227,7 @@ class TestCli:
         cmd = [
             sys.executable,
             "-m",
-            "ratcoord.cli",
+            "ratcoord",
             "verify",
             graph_files["square"],
             "--origin",

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +63,7 @@ class TestCountRepresentations:
     def test_parity_excluded(self):
         assert count_representations(A2, (3, 2)) == 0
 
-    def test_congruence_pruning_never_changes_results(self):
+    def test_counts_match_brute_force(self):
         sets = [
             A2,
             LinearSet((0,), ((2,), (3,))),
@@ -68,12 +71,19 @@ class TestCountRepresentations:
             LinearSet((0, 0), ((2, 0), (0, 2))),
         ]
         for l in sets:
+            # every period is nonnegative with a positive coordinate, so a
+            # coefficient of 9 or more leaves the grid [-1, 8]^dim
+            brute = Counter(
+                tuple(
+                    b + sum(n * p[i] for n, p in zip(ns, l.periods))
+                    for i, b in enumerate(l.base)
+                )
+                for ns in itertools.product(range(9), repeat=len(l.periods))
+            )
             for a in range(-1, 9):
                 for b in range(-1, 9):
                     v = (a, b) if l.dim == 2 else (a,)
-                    assert count_representations(
-                        l, v, congruence_pruning=True
-                    ) == count_representations(l, v, congruence_pruning=False)
+                    assert count_representations(l, v) == brute[v], (l, v)
 
     def test_budget(self):
         l = LinearSet((0, 0), ((1, 0), (0, 1), (1, 1)))
