@@ -7,6 +7,8 @@ test suite checks the two backends against each other.  All indices here are
 
 from __future__ import annotations
 
+from operator import add, le, mul
+
 from ..errors import BudgetExceeded
 
 BACKEND = "python"
@@ -159,7 +161,7 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
             bounds = [(hi[i] - cur[i]) // period[i] for i in rising]
             bounds += [(cur[i] - lo[i]) // -period[i] for i in falling]
             if weights is not None:
-                room = whi - sum(w * c for w, c in zip(weights, cur))
+                room = whi - sum(map(mul, weights, cur))
                 bounds.append(room // wperiod)
             # no structural bound: the budget backstops
             bound = min(bounds) if bounds else max_nodes
@@ -171,12 +173,12 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
             point = cur
             for _ in range(bound + 1):
                 nxt[point] = nxt.get(point, 0) + mult
-                point = tuple([c + p for c, p in zip(point, period)])
+                point = tuple(map(add, point, period))
         level = nxt
     return {
         point: mult
         for point, mult in level.items()
-        if all(l <= c <= h for l, c, h in zip(lo, point, hi))
+        if all(map(le, lo, point)) and all(map(le, point, hi))
     }
 
 

@@ -160,7 +160,6 @@ def parikh_image(
     a: VectorNFA,
     max_entries: int = 2_000_000,
     cycle_cap: int = 100_000,
-    prune: bool = True,
 ) -> SemilinearSet:
     """Semilinear set equal to the Parikh image of the automaton.
 
@@ -209,7 +208,7 @@ def parikh_image(
             }
         )
         bases = bases_by_support[support]
-        if prune and periods:
+        if periods:
             weights = _positive_functional(tuple(periods), a.out_dim)
             if weights is not None:
                 # a base reachable from another base by adding periods is
@@ -225,8 +224,5 @@ def parikh_image(
                         for p in periods
                     )
                 }
-        for base in sorted(bases):
-            part = LinearSet(base, tuple(periods))
-            if part not in parts:
-                parts.append(part)
-    return SemilinearSet(tuple(parts))
+        parts.extend(LinearSet(base, tuple(periods)) for base in sorted(bases))
+    return SemilinearSet(tuple(dict.fromkeys(parts)))

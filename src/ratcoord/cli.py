@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .automaton import VectorNFA, build_coordination_nfa, parikh_image, run_parikh_oracle
 from .errors import BudgetExceeded, DecompositionError
@@ -40,11 +40,19 @@ from .periodic_graph import (
     parse_periodic_graph,
 )
 from .semilinear import (
+    _magnitude,
     disambiguate,
     enumerate_in_box,
     semilinear_from_json,
     semilinear_to_json,
 )
+
+# certification box radius = largest image coordinate + DISAMBIG_MARGIN
+DISAMBIG_MARGIN = 8
+# trailing BFS terms a fitted recurrence must predict, not fit
+VERIFY_WINDOW = 5
+# cumulative counts compared against the run-enumeration oracle
+ORACLE_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -80,43 +88,34 @@ class PipelineReport:
 
 
 def symbolic_coordination_gf(
-    g: PeriodicGraph,
-    origin_orbit: int,
-    *,
-    disambig_margin: int = 8,
-    budget: int = 5_000_000,
-    check_generalization: bool = True,
+    g: PeriodicGraph, origin_orbit: int, *, budget: int = 5_000_000
 ):
     """Cumulative-count generating function via the automaton route.
 
     For every target orbit: build the automaton, compute its Parikh image,
-    decompose it into disjoint unambiguous parts, and sum the closed-formula
-    generating functions of the final-coordinate projections.  Returns the
-    sum over target orbits (the generating function of the <=-distance
-    counts); divide out 1/(1-z) for the coordination sequence itself.
+    decompose it into disjoint unambiguous parts certified on the box of
+    radius ``largest image coordinate + DISAMBIG_MARGIN``, check that the
+    decomposition still equals the image on the doubled box, and sum the
+    closed-formula generating functions of the final-coordinate
+    projections.  Returns the sum over target orbits (the generating
+    function of the <=-distance counts); divide out 1/(1-z) for the
+    coordination sequence itself.
     """
     total = RationalGF.zero()
     for target in range(1, g.num_orbits + 1):
         nfa = build_coordination_nfa(g, origin_orbit, target)
         image = parikh_image(nfa)
-        magnitude = 1
-        for part in image.parts:
-            for vec in (part.base, *part.periods):
-                magnitude = max(magnitude, *(abs(x) for x in vec))
-        radius = magnitude + disambig_margin
+        radius = _magnitude(image.parts) + DISAMBIG_MARGIN
         decomposition = disambiguate(image, box_radius=radius, budget=budget)
-        if check_generalization:
-            wide_lo = (-2 * radius,) * (g.dim + 1)
-            wide_hi = (2 * radius,) * (g.dim + 1)
-            wide_original = enumerate_in_box(image, wide_lo, wide_hi, budget)
-            wide_candidate = enumerate_in_box(
-                decomposition, wide_lo, wide_hi, budget
+        wide_lo = (-2 * radius,) * (g.dim + 1)
+        wide_hi = (2 * radius,) * (g.dim + 1)
+        wide_original = enumerate_in_box(image, wide_lo, wide_hi, budget)
+        wide_candidate = enumerate_in_box(decomposition, wide_lo, wide_hi, budget)
+        if wide_original != wide_candidate:
+            raise DecompositionError(
+                f"decomposition for target orbit {target} fails on the "
+                f"doubled box (radius {2 * radius})"
             )
-            if wide_original != wide_candidate:
-                raise DecompositionError(
-                    f"decomposition for target orbit {target} fails on the "
-                    f"doubled box (radius {2 * radius})"
-                )
         for part in decomposition.parts:
             total = total + gf_unambiguous_linear(part, g.dim + 1)
     return total
@@ -141,19 +140,15 @@ def pipeline_coordination_gf(
     depth: int = 40,
     *,
     graph_id: str = "graph",
-    verify_window: int = 5,
-    fit_max_order: int | None = None,
-    disambig_margin: int = 8,
     budget: int = 5_000_000,
-    _tamper_symbolic=None,
 ) -> PipelineReport:
     """Run the requested pipeline paths and cross-compare their coefficients.
 
-    A path that fails records it in its own status (``fit_status``,
-    ``symbolic_status``) and does not abort the other path; a path that was
-    not requested keeps status ``ok``.  ``_tamper_symbolic`` is test
-    instrumentation: it maps the symbolic result to a corrupted one so the
-    harness can prove it detects mismatches.
+    The fit path fits a recurrence of order at most half the terms outside
+    the last ``VERIFY_WINDOW``, which it must then predict.  A path that
+    fails records it in its own status (``fit_status``, ``symbolic_status``)
+    and does not abort the other path; a path that was not requested keeps
+    status ``ok``.
     """
     if method not in ("symbolic", "fit", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -162,13 +157,9 @@ def pipeline_coordination_gf(
     gf_fit = None
     fit_status = "ok"
     if method in ("fit", "both"):
-        max_order = (
-            fit_max_order
-            if fit_max_order is not None
-            else max(0, (len(sequence.values) - verify_window) // 2)
-        )
+        max_order = max(0, (len(sequence.values) - VERIFY_WINDOW) // 2)
         try:
-            gf_fit = fit_rational(sequence.values, max_order, verify_window)
+            gf_fit = fit_rational(sequence.values, max_order, VERIFY_WINDOW)
         except ValueError:  # prefix too short, or no recurrence explains it
             fit_status = "no_fit"
 
@@ -176,15 +167,9 @@ def pipeline_coordination_gf(
     symbolic_status = "ok"
     if method in ("symbolic", "both"):
         try:
-            cumulative_gf = symbolic_coordination_gf(
-                g,
-                origin_orbit,
-                disambig_margin=disambig_margin,
-                budget=budget,
+            gf_symbolic = cumulative_to_exact(
+                symbolic_coordination_gf(g, origin_orbit, budget=budget)
             )
-            gf_symbolic = cumulative_to_exact(cumulative_gf)
-            if _tamper_symbolic is not None:
-                gf_symbolic = _tamper_symbolic(gf_symbolic)
         except DecompositionError:
             symbolic_status = "decomposition_failed"
         except BudgetExceeded:
@@ -218,25 +203,18 @@ def cross_verify(
     depth: int,
     *,
     graph_id: str = "graph",
-    oracle_depth: int = 8,
-    _tamper_symbolic=None,
 ) -> PipelineReport:
     """Both pipeline paths plus the run-enumeration oracle slice check.
 
     The oracle check compares, for every distance bound y up to
-    ``min(oracle_depth, depth)``, the number of automaton-reachable cells
+    ``min(ORACLE_DEPTH, depth)``, the number of automaton-reachable cells
     against the cumulative BFS counts.  Mismatches are report content, not
     errors.
     """
     report = pipeline_coordination_gf(
-        g,
-        origin_orbit,
-        method="both",
-        depth=depth,
-        graph_id=graph_id,
-        _tamper_symbolic=_tamper_symbolic,
+        g, origin_orbit, method="both", depth=depth, graph_id=graph_id
     )
-    ylim = min(oracle_depth, depth)
+    ylim = min(ORACLE_DEPTH, depth)
     oracle_cumulative = [0] * (ylim + 1)
     for target in range(1, g.num_orbits + 1):
         nfa = build_coordination_nfa(g, origin_orbit, target)
@@ -244,16 +222,7 @@ def cross_verify(
             oracle_cumulative[vector[-1]] += 1
     bfs_cumulative = cumulative_counts(report.bfs_sequence)[: ylim + 1]
     entry = _compare("oracle", oracle_cumulative, "bfs_cumulative", bfs_cumulative, ylim)
-    return PipelineReport(
-        graph_id=report.graph_id,
-        origin_orbit=report.origin_orbit,
-        bfs_sequence=report.bfs_sequence,
-        gf_fit=report.gf_fit,
-        gf_symbolic=report.gf_symbolic,
-        fit_status=report.fit_status,
-        symbolic_status=report.symbolic_status,
-        agreement=report.agreement + (entry,),
-    )
+    return replace(report, agreement=report.agreement + (entry,))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ def _padd(a, b):
     )
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()

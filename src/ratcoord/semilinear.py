@@ -180,11 +180,44 @@ def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     return _part_counts(l, v, v, budget).get(v, 0)
 
 
+def _reachable(l: LinearSet, v, budget: int) -> bool:
+    """True iff base plus some sum of periods is v, by search over points.
+
+    The Steinitz lemma orders the periods of any representation so that every
+    partial sum stays within ``2 * dim * M`` (M the largest period coordinate)
+    of the segment from base to v, so searching that box is complete.
+    """
+    slack = 2 * l.dim * max([0] + [abs(x) for p in l.periods for x in p])
+    box = [(min(b, x) - slack, max(b, x) + slack) for b, x in zip(l.base, v)]
+    seen, frontier = {l.base}, [l.base]
+    while frontier and len(seen) <= budget:
+        cur = frontier.pop()
+        if cur == v:
+            return True
+        for period in l.periods:
+            nxt = tuple(c + p for c, p in zip(cur, period))
+            inside = all(a <= c <= b for c, (a, b) in zip(nxt, box))
+            if inside and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    if frontier:
+        raise BudgetExceeded(f"membership search exceeded {budget} points")
+    return False
+
+
 def member(s: SemilinearSet, v, budget: int = 1_000_000) -> bool:
-    """True iff some part represents v at least once."""
+    """True iff some part represents v at least once.
+
+    Parts without a positive functional may have periods with a zero-sum
+    combination, which no count bounds, so they are searched by point.
+    """
     _check_dim(s, v)
+    v = tuple(int(x) for x in v)
     return any(
-        count_representations(part, v, budget=budget) >= 1 for part in s.parts
+        count_representations(part, v, budget=budget) >= 1
+        if _positive_functional(part.periods, part.dim) is not None
+        else _reachable(part, v, budget)
+        for part in s.parts
     )
 
 
@@ -351,10 +384,7 @@ def disambiguate(
     the largest coordinate magnitude among bases and periods; an explicit
     ``box_radius`` is clamped up so the box always contains every base.
     """
-    parts = []
-    for part in s.parts:
-        if part not in parts:
-            parts.append(part)
+    parts = tuple(dict.fromkeys(s.parts))
     if not parts:
         return _mark_certified(SemilinearSet(()))
     dim = parts[0].dim
@@ -372,7 +402,7 @@ def disambiguate(
             "cannot order the box"
         )
 
-    source = SemilinearSet(tuple(parts))
+    source = SemilinearSet(parts)
     orig_points = enumerate_in_box(source, lo, hi, budget)
 
     def sort_key(point):

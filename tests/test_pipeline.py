@@ -6,7 +6,9 @@ import pytest
 
 from ratcoord import (
     DecompositionError,
+    LinearSet,
     RationalGF,
+    SemilinearSet,
     cross_verify,
     nfa_from_json,
     nfa_to_json,
@@ -69,11 +71,16 @@ class TestCrossVerify:
         pairs = {e["pair"] for e in report.agreement}
         assert "oracle_vs_bfs_cumulative" in pairs
 
-    def test_corrupted_symbolic_is_flagged(self, square):
-        def tamper(q):
-            return q + RationalGF((0, 0, 0, 1))  # bump coefficient 3
+    def test_corrupted_symbolic_is_flagged(self, square, monkeypatch):
+        import ratcoord.cli as cli
 
-        report = cross_verify(square, 1, 20, _tamper_symbolic=tamper)
+        exact = cli.cumulative_to_exact
+
+        def tamper(q):
+            return exact(q) + RationalGF((0, 0, 0, 1))  # bump coefficient 3
+
+        monkeypatch.setattr(cli, "cumulative_to_exact", tamper)
+        report = cross_verify(square, 1, 20)
         assert not report.all_ok()
         bad = {
             e["pair"]: e["first_mismatch"]
@@ -290,6 +297,26 @@ class TestExitCodes:
         report = cli.pipeline_coordination_gf(square, 1, "both", 20)
         assert report.symbolic_status == "decomposition_failed"
         assert report.gf_fit is not None
+        assert cli._report_exit_code(report) == 0
+
+    def test_doubled_box_check_flags_wrong_decomposition(self, square, monkeypatch):
+        import ratcoord.cli as cli
+
+        decompose = cli.disambiguate
+
+        def add_far_point(image, box_radius, budget):
+            # (2r, 0, r + 1) lies outside the r-box, inside the doubled box,
+            # and outside the square image (a cell 2r away needs 2r steps)
+            result = decompose(image, box_radius=box_radius, budget=budget)
+            r = box_radius
+            extra = LinearSet((2 * r, 0, r + 1), ())
+            return SemilinearSet(result.parts + (extra,))
+
+        monkeypatch.setattr(cli, "disambiguate", add_far_point)
+        report = cli.pipeline_coordination_gf(square, 1, "both", 20)
+        assert report.symbolic_status == "decomposition_failed"
+        assert report.gf_symbolic is None
+        assert report.gf_fit == SQUARE_GF
         assert cli._report_exit_code(report) == 0
 
 

@@ -110,6 +110,16 @@ class TestMember:
                 )
                 assert member(A_FULL, (a, b)) == expected
 
+    def test_zero_sum_periods(self):
+        # 2*(-1,0)+(1,-1)+(1,1) = 0: no coefficient bound, every point of
+        # the lattice the periods generate is a member
+        s = SemilinearSet([LinearSet((0, 0), ((1, -1), (1, 1), (-1, 0)))])
+        line = SemilinearSet([LinearSet((0, 0), ((2, 0), (-2, 0), (0, 1)))])
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                assert member(s, (a, b)) is True
+                assert member(line, (a, b)) == (a % 2 == 0 and b >= 0)
+
 
 class TestEnumerateInBox:
     def test_paper_set(self):
