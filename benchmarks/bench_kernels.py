@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Run from the repository root after building the extension:
+Covers the two kernels with a compiled twin, cover BFS and box enumeration.
+Run from the repository root, with or without the extension built:
 
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
 
-from ratcoord import build_coordination_nfa, parse_periodic_graph
+from ratcoord import parse_periodic_graph
 from ratcoord._kernels import pure
 from ratcoord.periodic_graph import _neighbor_specs
 
@@ -17,10 +18,6 @@ try:
 except ImportError:
     _speed = None
 
-SQUARE = parse_periodic_graph("dim 2\nvertices 1\nedge 1 1 1 0\nedge 1 1 0 1")
-HONEYCOMB = parse_periodic_graph(
-    "dim 2\nvertices 2\nedge 1 2 0 0\nedge 1 2 1 0\nedge 1 2 0 1"
-)
 CUBIC = parse_periodic_graph(
     "dim 3\nvertices 1\nedge 1 1 1 0 0\nedge 1 1 0 1 0\nedge 1 1 0 0 1"
 )
@@ -29,23 +26,6 @@ CUBIC = parse_periodic_graph(
 def bench_bfs(backend):
     specs = _neighbor_specs(CUBIC)
     return lambda: backend.bfs_layer_counts(3, specs, 0, 60, 10**8)
-
-
-def bench_profiles(backend):
-    nfa = build_coordination_nfa(HONEYCOMB, 1, 1)
-    distinct = nfa.distinct_transitions
-    args = (
-        nfa.num_states,
-        [s - 1 for s, _, _ in distinct],
-        [t - 1 for _, _, t in distinct],
-        [output for _, output, _ in distinct],
-        [0],
-        [0],
-        18,
-        50_000_000,
-        nfa.num_states,
-    )
-    return lambda: backend.accepting_run_profiles(*args)
 
 
 def bench_box(backend):
@@ -57,7 +37,6 @@ def bench_box(backend):
 
 BENCHES = [
     ("bfs cubic depth 60", bench_bfs),
-    ("run profiles honeycomb len 18", bench_profiles),
     ("box enum 5-period cone r 30", bench_box),
 ]
 

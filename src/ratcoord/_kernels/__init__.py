@@ -3,10 +3,10 @@
 The compiled extension (``_speed``, built from Cython) is used when it
 imported successfully and the problem fits its fixed-width integer encoding;
 otherwise each call transparently falls back to the reference implementation
-in :mod:`ratcoord._kernels.pure`.  ``linear_point_counts`` has no compiled
-twin and always runs the reference implementation.  Set ``RATCOORD_PURE=1``
-to force the pure backend (used by the benchmark and the backend-equivalence
-tests).
+in :mod:`ratcoord._kernels.pure`.  ``accepting_run_profiles`` and
+``linear_point_counts`` have no compiled twin and always run the reference
+implementation.  Set ``RATCOORD_PURE=1`` to force the pure backend (used by
+the benchmark and the backend-equivalence tests).
 """
 
 from __future__ import annotations
@@ -45,6 +45,6 @@ def _dispatch(name):
 
 
 bfs_layer_counts = _dispatch("bfs_layer_counts")
-accepting_run_profiles = _dispatch("accepting_run_profiles")
 linear_points_in_box = _dispatch("linear_points_in_box")
+accepting_run_profiles = pure.accepting_run_profiles  # no compiled twin
 linear_point_counts = pure.linear_point_counts  # no compiled twin

@@ -1,9 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twins of the pure-Python kernels.
+"""Compiled twins of two pure-Python kernels: ``bfs_layer_counts`` and
+``linear_points_in_box``.
 
 Same algorithms, same results, bit for bit; states are packed into 64-bit
 integers for C-speed hashing.  Inputs that do not fit the packing raise
 OverflowError, which the dispatching wrapper turns into a pure-Python call.
+Run enumeration (``accepting_run_profiles``) and ``linear_point_counts``
+have no twin here.
 """
 
 from libcpp.unordered_set cimport unordered_set
@@ -14,18 +17,7 @@ ctypedef unsigned long long u64
 
 from ratcoord.errors import BudgetExceeded
 
-cdef extern from *:
-    int __builtin_popcountll(unsigned long long) nogil
-
 BACKEND = "compiled"
-
-
-cdef int _bits(long long value):
-    """Bits needed to store values 0..value (at least 1)."""
-    cdef int n = 1
-    while value >= (1LL << n):
-        n += 1
-    return n
 
 
 def bfs_layer_counts(int dim, neighbor_specs, int origin_orbit, int depth,
@@ -96,134 +88,6 @@ def bfs_layer_counts(int dim, neighbor_specs, int origin_orbit, int depth,
         counts.append(nxt.size())
         frontier.swap(nxt)
     return counts
-
-
-def accepting_run_profiles(int num_states, sources, targets, outputs,
-                           initial, final, int max_len,
-                           long long max_entries, int prune_states):
-    cdef int ntrans = len(sources)
-    cdef int dim = len(outputs[0]) if ntrans else 0
-
-    cdef long long max_out = 1
-    cdef long long value
-    for output in outputs:
-        for x in output:
-            value = x if x >= 0 else -x
-            if value > max_out:
-                max_out = value
-    cdef long long coord_radius = <long long>max_len * max_out
-    cdef int coord_bits = _bits(2 * coord_radius)
-    cdef int state_bits = _bits(num_states - 1)
-    cdef int length_bits = _bits(max_len)
-    cdef int total_bits = state_bits + ntrans + length_bits + dim * coord_bits
-    if total_bits > 62:
-        raise OverflowError("run profile does not fit in 64 bits")
-
-    # layout (low to high): state | mask | length | coords (each + radius)
-    cdef int mask_shift = state_bits
-    cdef int length_shift = mask_shift + ntrans
-    cdef int coord_shift = length_shift + length_bits
-    cdef unsigned long long length_one = 1ULL << length_shift
-
-    cdef vector[i64] out_flat = vector[i64](ntrans * dim)
-    cdef vector[int] src = vector[int](ntrans)
-    cdef vector[int] dst = vector[int](ntrans)
-    cdef vector[u64] tbit = vector[u64](ntrans)
-    cdef int t, i
-    for t in range(ntrans):
-        src[t] = sources[t]
-        dst[t] = targets[t]
-        tbit[t] = 1ULL << (mask_shift + t)
-        for i in range(dim):
-            out_flat[t * dim + i] = outputs[t][i]
-
-    cdef vector[vector[int]] by_state = vector[vector[int]](num_states)
-    for t in range(ntrans):
-        by_state[src[t]].push_back(t)
-
-    cdef vector[bint] is_final = vector[bint](num_states)
-    for i in range(num_states):
-        is_final[i] = 0
-    for s in final:
-        is_final[<int>s] = 1
-
-    cdef unsigned long long base = 0
-    for i in range(dim):
-        base += (<unsigned long long>coord_radius) << (coord_shift + i * coord_bits)
-
-    cdef unordered_set[u64] visited
-    cdef unordered_set[u64] accepted
-    cdef vector[u64] frontier, nxt
-    cdef unsigned long long state_mask = (1ULL << state_bits) - 1
-    cdef unsigned long long key, profile
-    for s in sorted(set(initial)):
-        key = base + <unsigned long long>(<int>s)
-        if visited.find(key) == visited.end():
-            visited.insert(key)
-            frontier.push_back(key)
-            if is_final[<int>s]:
-                accepted.insert(key >> mask_shift << mask_shift)
-
-    cdef long long slack = 0
-    if prune_states:
-        slack = <long long>prune_states * (ntrans + 1) - ntrans
-
-    cdef size_t idx, j
-    cdef int state, support
-    cdef unsigned long long cur, mask2, key2
-    cdef unsigned long long coord_field_mask = (1ULL << coord_bits) - 1
-    cdef long long coord
-    cdef int length, shift
-    for length in range(1, max_len + 1):
-        nxt.clear()
-        for idx in range(frontier.size()):
-            cur = frontier[idx]
-            state = <int>(cur & state_mask)
-            for j in range(by_state[state].size()):
-                t = by_state[state][j]
-                mask2 = cur | tbit[t]
-                if prune_states:
-                    support = __builtin_popcountll(
-                        (mask2 >> mask_shift) & ((1ULL << ntrans) - 1)
-                    )
-                    if length > slack + support:
-                        continue
-                # rebuild each coordinate field so negative outputs cannot
-                # carry into the neighboring field
-                key2 = (mask2 & ~state_mask) + length_one \
-                    + <unsigned long long>dst[t]
-                for i in range(dim):
-                    shift = coord_shift + i * coord_bits
-                    coord = <long long>((cur >> shift) & coord_field_mask) \
-                        + out_flat[t * dim + i]
-                    key2 = (key2 & ~(coord_field_mask << shift)) \
-                        + ((<unsigned long long>coord) << shift)
-                key = key2
-                if visited.find(key) != visited.end():
-                    continue
-                if <long long>visited.size() >= max_entries:
-                    raise BudgetExceeded(
-                        f"run enumeration exceeded {max_entries} states"
-                    )
-                visited.insert(key)
-                nxt.push_back(key)
-                if is_final[dst[t]]:
-                    accepted.insert(key >> mask_shift << mask_shift)
-        frontier.swap(nxt)
-
-    # decode accepted profiles into Python tuples
-    result = set()
-    cdef unsigned long long packed, mask_field
-    for packed in accepted:
-        mask_field = (packed >> mask_shift) & ((1ULL << ntrans) - 1)
-        length = <int>((packed >> length_shift) & ((1ULL << length_bits) - 1))
-        coords = []
-        for i in range(dim):
-            coord = <long long>((packed >> (coord_shift + i * coord_bits))
-                                & coord_field_mask) - coord_radius
-            coords.append(coord)
-        result.add((int(mask_field), length, tuple(coords)))
-    return result
 
 
 cdef class _BoxEnum:

@@ -1,8 +1,10 @@
 """Pure-Python reference implementations of the hot kernels.
 
-The compiled twin in ``_speed.pyx`` must produce bit-identical results; the
-test suite checks the two backends against each other.  All indices here are
-0-based (the public modules use 1-based orbits/states and convert).
+``bfs_layer_counts`` and ``linear_points_in_box`` have compiled twins in
+``_speed.pyx`` that must produce bit-identical results; the test suite
+checks the two backends against each other.  ``accepting_run_profiles`` and
+``linear_point_counts`` exist only here.  All indices here are 0-based (the
+public modules use 1-based orbits/states and convert).
 """
 
 from __future__ import annotations
@@ -44,52 +46,32 @@ def bfs_layer_counts(dim, neighbor_specs, origin_orbit, depth, max_visited):
 
 
 def accepting_run_profiles(
-    num_states,
-    sources,
-    targets,
-    outputs,
-    initial,
-    final,
-    max_len,
-    max_entries,
-    prune_states,
+    num_states, sources, targets, outputs, initial, final, max_len, max_entries
 ):
-    """Profiles (support mask, length, Parikh vector) of accepting runs.
+    """Profiles (visited-state mask, length, Parikh vector) of accepting runs.
 
-    A run is a walk from an initial to a final state; its profile records
-    which transition indices it used (as a bitmask), its length, and the sum
-    of the output vectors.  Two runs with equal profiles admit the same
-    continuations and contribute identically downstream, so deduplicating on
-    (state, profile) preserves the profile set exactly.  With
-    ``prune_states = q > 0`` partial runs that can no longer satisfy
-    ``length <= q * (support + 1)`` for any future support size are dropped;
-    every accepting profile within the bound for its own support survives.
-    Pass 0 to keep every run up to ``max_len`` (oracle mode).
+    A run is a walk of at most ``max_len`` transitions from an initial to a
+    final state; its profile records which states it visited, the start
+    state included (as a bitmask), its length, and the sum of the output
+    vectors.  Two partial runs that end in the same state with equal
+    profiles admit the same continuations, so deduplicating on (state,
+    profile) preserves the profile set exactly.
     """
-    ntrans = len(sources)
     out_by_state = [[] for _ in range(num_states)]
-    for t in range(ntrans):
-        out_by_state[sources[t]].append((t, 1 << t, targets[t], outputs[t]))
+    for source, target, output in zip(sources, targets, outputs):
+        out_by_state[source].append((target, 1 << target, output))
     final_set = set(final)
 
     zero = (0,) * (len(outputs[0]) if outputs else 0)
-    accepted = set()
-    if any(s in final_set for s in initial):
-        accepted.add((0, 0, zero))
-    frontier = [(s, 0, zero) for s in sorted(set(initial))]
-    visited = {(s, 0, 0, zero) for s in set(initial)}
-    if prune_states:
-        slack = prune_states * (ntrans + 1) - ntrans
+    frontier = [(s, 1 << s, zero) for s in sorted(set(initial))]
+    visited = {(s, mask, 0, zero) for s, mask, _ in frontier}
+    accepted = {(mask, 0, zero) for s, mask, _ in frontier if s in final_set}
     for length in range(1, max_len + 1):
         nxt = []
         for state, mask, parikh in frontier:
-            for t, bit, target, output in out_by_state[state]:
+            for target, bit, output in out_by_state[state]:
                 mask2 = mask | bit
-                if prune_states:
-                    support2 = bin(mask2).count("1")
-                    if length > slack + support2:
-                        continue
-                parikh2 = tuple(a + b for a, b in zip(parikh, output))
+                parikh2 = tuple(map(add, parikh, output))
                 key = (target, mask2, length, parikh2)
                 if key in visited:
                     continue

@@ -5,17 +5,21 @@ the emitted vectors, and the Parikh image of the automaton is the set of
 Parikh images over all accepting runs (the empty run counts when some state
 is both initial and final).
 
-The image is computed support by support: every accepting run reduces, by
-repeatedly removing simple cycles that leave its transition support intact,
-to a run over the same support of length at most ``num_states * (support
-size + 1)``; the removed cycles become the periods.  The run-enumeration
-oracle provides the ground truth this construction is tested against.
+The image is computed per set of visited states (Kopczynski and To, "Parikh
+images of grammars: complexity and applications", LICS 2010): cutting every
+repeated state out of each stretch between two first visits reduces an
+accepting run to one that visits the same states, has at most
+``num_states * (num_states - 1)`` transitions, and differs from the original
+by elementary circuits through those states; the circuits become the
+periods.  The run-enumeration oracle provides the ground truth this
+construction is tested against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import add
 
 from . import _kernels
 from .errors import BudgetExceeded
@@ -94,9 +98,9 @@ def build_coordination_nfa(
     )
 
 
-def _run_profiles(a: VectorNFA, max_len, max_entries, prune):
+def _run_profiles(a: VectorNFA, max_len, max_entries):
     distinct = a.distinct_transitions
-    accepted = _kernels.accepting_run_profiles(
+    return _kernels.accepting_run_profiles(
         a.num_states,
         [s - 1 for s, _, _ in distinct],
         [t - 1 for _, _, t in distinct],
@@ -105,9 +109,7 @@ def _run_profiles(a: VectorNFA, max_len, max_entries, prune):
         [s - 1 for s in sorted(a.final)],
         max_len,
         max_entries,
-        a.num_states if prune else 0,
     )
-    return distinct, accepted
 
 
 def run_parikh_oracle(
@@ -115,15 +117,14 @@ def run_parikh_oracle(
 ) -> set[ParikhVector]:
     """Exact set of Parikh images of accepting runs of length <= max_len.
 
-    Exhaustive over runs, deduplicated on (state, used transitions, length,
+    Exhaustive over runs, deduplicated on (state, visited states, length,
     accumulated vector); runs collapsed this way admit identical
     continuations, so the set of Parikh images is preserved exactly.  Raises
     BudgetExceeded when the search outgrows ``max_entries``.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    _, accepted = _run_profiles(a, max_len, max_entries, prune=False)
-    return {parikh for _, _, parikh in accepted}
+    return {parikh for _, _, parikh in _run_profiles(a, max_len, max_entries)}
 
 
 def _elementary_circuits(num_states, transitions, cap):
@@ -156,58 +157,50 @@ def _elementary_circuits(num_states, transitions, cap):
     return circuits
 
 
-def parikh_image(
-    a: VectorNFA,
-    max_entries: int = 2_000_000,
-    cycle_cap: int = 100_000,
-) -> SemilinearSet:
+# run-enumeration states and elementary circuits parikh_image may visit
+PARIKH_MAX_ENTRIES = 2_000_000
+PARIKH_CYCLE_CAP = 100_000
+
+
+def parikh_image(a: VectorNFA) -> SemilinearSet:
     """Semilinear set equal to the Parikh image of the automaton.
 
-    For every transition support T realized by some accepting run: the bases
-    are the Parikh vectors of accepting runs with support exactly T and
-    length at most ``num_states * (|T| + 1)``, and the periods are the Parikh
-    vectors of elementary circuits using only transitions of T.  Bases that
-    are another base plus a period are dropped (their linear set is
-    contained in the other's); this is the only pruning and it never changes
-    the union.
+    For every set S of states visited by some accepting run: the bases are
+    the Parikh vectors of accepting runs that visit exactly S and have at
+    most ``num_states * (num_states - 1)`` transitions, and the periods are
+    the Parikh vectors of elementary circuits through states of S only.
+    Bases that are another base plus a period are dropped (their linear set
+    is contained in the other's); this is the only pruning and it never
+    changes the union.
 
-    The construction is exponential in the number of distinct transitions
-    and intended for small automata; it raises BudgetExceeded beyond
-    ``max_entries`` enumeration states or ``cycle_cap`` circuits.
+    The construction is exponential in the number of states and intended
+    for small automata; it raises BudgetExceeded beyond
+    ``PARIKH_MAX_ENTRIES`` enumeration states or ``PARIKH_CYCLE_CAP``
+    circuits.
     """
-    distinct, accepted = _run_profiles(
-        a, a.num_states * (len(a.distinct_transitions) + 1), max_entries, prune=True
-    )
-    bases_by_support: dict[int, set] = {}
-    for mask, length, parikh in accepted:
-        if length <= a.num_states * (bin(mask).count("1") + 1):
-            bases_by_support.setdefault(mask, set()).add(parikh)
+    n = a.num_states
+    bases_by_states: dict[int, set] = defaultdict(set)
+    for mask, _, parikh in _run_profiles(a, n * (n - 1), PARIKH_MAX_ENTRIES):
+        bases_by_states[mask].add(parikh)
 
-    circuits = _elementary_circuits(a.num_states, distinct, cycle_cap)
-    circuit_masks = []
-    circuit_vectors = []
-    for circuit in circuits:
+    distinct = a.distinct_transitions
+    circuits = []  # (mask of the states the circuit visits, its vector)
+    for circuit in _elementary_circuits(n, distinct, PARIKH_CYCLE_CAP):
         mask = 0
-        vec = [0] * a.out_dim
+        vec = (0,) * a.out_dim
         for idx in circuit:
-            mask |= 1 << idx
-            output = distinct[idx][1]
-            for d in range(a.out_dim):
-                vec[d] += output[d]
-        circuit_masks.append(mask)
-        circuit_vectors.append(tuple(vec))
+            source, output, _ = distinct[idx]
+            mask |= 1 << (source - 1)
+            vec = tuple(map(add, vec, output))
+        circuits.append((mask, vec))
 
     parts = []
     zero = (0,) * a.out_dim
-    for support in sorted(bases_by_support):
+    for states in sorted(bases_by_states):
         periods = sorted(
-            {
-                vec
-                for vec, cmask in zip(circuit_vectors, circuit_masks)
-                if cmask & ~support == 0 and vec != zero
-            }
+            {vec for mask, vec in circuits if mask & ~states == 0 and vec != zero}
         )
-        bases = bases_by_support[support]
+        bases = bases_by_states[states]
         if periods:
             weights = _positive_functional(tuple(periods), a.out_dim)
             if weights is not None:

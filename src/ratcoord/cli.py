@@ -25,7 +25,6 @@ from .errors import BudgetExceeded, DecompositionError
 from .genfunc import (
     RationalGF,
     cumulative_to_exact,
-    gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
     fit_rational,

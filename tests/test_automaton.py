@@ -275,9 +275,12 @@ class TestRandomNfaEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(random_nfa())
     def test_members_have_witnessing_runs(self, nfa):
-        # base runs are at most num_states*(support+1) long and every period
-        # comes from a cycle of at most num_states transitions, so adding up
-        # to `slack` periods keeps witnesses within a computable length
+        # base runs are at most num_states*(num_states-1) long, within
+        # `bound` for the at most 3 states drawn here whenever a transition
+        # exists (with none, only the empty run is accepted), and every
+        # period comes from a cycle of at most num_states transitions, so
+        # adding up to `slack` periods keeps witnesses within a computable
+        # length
         slack = 2
         image = parikh_image(nfa)
         if not image.parts:

@@ -1,5 +1,5 @@
 """Backend equivalence: the compiled kernels must match the pure ones; the
-box kernel must match a brute-force count."""
+box kernel and the run kernel must match brute-force enumerations."""
 
 import itertools
 from collections import Counter
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ratcoord
-from ratcoord import build_coordination_nfa, parse_periodic_graph
+from ratcoord import parse_periodic_graph
 from ratcoord._kernels import pure
 from ratcoord.errors import BudgetExceeded
 from ratcoord.periodic_graph import _neighbor_specs
@@ -25,21 +25,6 @@ needs_compiled = pytest.mark.skipif(
 )
 
 
-def _nfa_args(nfa, max_len, prune):
-    distinct = nfa.distinct_transitions
-    return (
-        nfa.num_states,
-        [s - 1 for s, _, _ in distinct],
-        [t - 1 for _, _, t in distinct],
-        [output for _, output, _ in distinct],
-        [s - 1 for s in sorted(nfa.initial)],
-        [s - 1 for s in sorted(nfa.final)],
-        max_len,
-        5_000_000,
-        nfa.num_states if prune else 0,
-    )
-
-
 @needs_compiled
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(GRAPH_TEXTS))
@@ -50,14 +35,6 @@ class TestBackendEquivalence:
             a = pure.bfs_layer_counts(g.dim, specs, origin, 12, 10**7)
             b = _speed.bfs_layer_counts(g.dim, specs, origin, 12, 10**7)
             assert a == b
-
-    @pytest.mark.parametrize("name", ["square", "honeycomb", "three_ring"])
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_run_profiles(self, name, prune):
-        g = parse_periodic_graph(GRAPH_TEXTS[name])
-        nfa = build_coordination_nfa(g, 1, g.num_orbits)
-        args = _nfa_args(nfa, 10, prune)
-        assert pure.accepting_run_profiles(*args) == _speed.accepting_run_profiles(*args)
 
     BOX_CASES = [
         ((2, 2), ((2, 0), (1, 1), (0, 2)), (0, 0), (14, 14), (1, 1)),
@@ -184,6 +161,60 @@ def test_point_counts_match_brute_force(case):
     if all(x >= 0 for p in periods for x in p):
         # sign-monotone coordinates alone bound the search
         assert pure.linear_point_counts(base, periods, lo, hi, None, 10**6) == counts
+
+
+@st.composite
+def small_run_kernel_inputs(draw):
+    """Arguments of ``accepting_run_profiles``, 0-based, with a length bound."""
+    num_states = draw(st.integers(1, 3))
+    out_dim = draw(st.integers(1, 2))
+    states = st.integers(0, num_states - 1)
+    transitions = draw(
+        st.lists(
+            st.tuples(states, st.tuples(*[st.integers(-1, 1)] * out_dim), states),
+            max_size=4,
+        )
+    )
+    initial = sorted(draw(st.sets(states, min_size=1)))
+    final = sorted(draw(st.sets(states)))
+    max_len = draw(st.integers(0, 5))
+    return (
+        num_states,
+        [s for s, _, _ in transitions],
+        [t for _, _, t in transitions],
+        [output for _, output, _ in transitions],
+        initial,
+        final,
+        max_len,
+    )
+
+
+def _brute_force_profiles(
+    num_states, sources, targets, outputs, initial, final, max_len
+):
+    # every walk of every length, one at a time, with no deduplication
+    dim = len(outputs[0]) if outputs else 0
+    profiles = set()
+    for length in range(max_len + 1):
+        for start in initial:
+            for walk in itertools.product(range(len(sources)), repeat=length):
+                state, mask, vector = start, 1 << start, (0,) * dim
+                for t in walk:
+                    if sources[t] != state:
+                        break
+                    state = targets[t]
+                    mask |= 1 << state
+                    vector = tuple(a + b for a, b in zip(vector, outputs[t]))
+                else:
+                    if state in final:
+                        profiles.add((mask, length, vector))
+    return profiles
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_run_kernel_inputs())
+def test_run_profiles_match_brute_force(case):
+    assert pure.accepting_run_profiles(*case, 10**6) == _brute_force_profiles(*case)
 
 
 def test_backend_name_exposed():

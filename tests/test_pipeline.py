@@ -10,11 +10,14 @@ from ratcoord import (
     RationalGF,
     SemilinearSet,
     cross_verify,
+    disambiguate,
     nfa_from_json,
     nfa_to_json,
     build_coordination_nfa,
+    parikh_image,
     pipeline_coordination_gf,
     series_coeffs,
+    validate_decomposition,
 )
 from ratcoord.cli import main
 from .conftest import GRAPH_TEXTS, HONEYCOMB_TEXT, SQUARE_TEXT
@@ -272,6 +275,34 @@ class TestMoreNets:
         report = pipeline_coordination_gf(g, 1, "both", 30)
         assert report.gf_fit == report.gf_symbolic
         assert report.all_ok()
+
+    def test_kagome(self):
+        from ratcoord import parse_periodic_graph
+
+        g = parse_periodic_graph(
+            "dim 2\nvertices 3\n"
+            "edge 1 2 0 0\nedge 1 2 -1 0\nedge 1 3 0 0\nedge 1 3 0 -1\n"
+            "edge 2 3 0 0\nedge 2 3 1 -1"
+        )
+        report = cross_verify(g, 1, 20)
+        assert report.symbolic_status == "ok"
+        assert report.fit_status == "ok"
+        assert report.all_ok()
+
+    @pytest.mark.parametrize("name", ["square", "honeycomb"])
+    def test_decomposition_holds_on_four_times_the_radius(self, graphs, name):
+        # the pipeline certifies on radius r and rechecks on 2r; the parts
+        # must also agree with the image far beyond both
+        from ratcoord.cli import DISAMBIG_MARGIN
+        from ratcoord.semilinear import _magnitude
+
+        g = graphs[name]
+        for target in range(1, g.num_orbits + 1):
+            image = parikh_image(build_coordination_nfa(g, 1, target))
+            r = _magnitude(image.parts) + DISAMBIG_MARGIN
+            decomposition = disambiguate(image, box_radius=r)
+            box = (-4 * r,) * (g.dim + 1), (4 * r,) * (g.dim + 1)
+            assert validate_decomposition(image, decomposition, *box)
 
 
 class TestExitCodes:
