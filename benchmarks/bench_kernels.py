@@ -1,31 +1,20 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled kernel against the pure-Python fallback.
 
-Covers the two kernels with a compiled twin, cover BFS and box enumeration.
-Run from the repository root, with or without the extension built:
+Covers the one kernel with a compiled twin, box enumeration.  Run from the
+repository root, with or without the extension built:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
 
-from ratcoord import parse_periodic_graph
 from ratcoord._kernels import pure
-from ratcoord.periodic_graph import _neighbor_specs
 
 try:
     from ratcoord._kernels import _speed
 except ImportError:
     _speed = None
-
-CUBIC = parse_periodic_graph(
-    "dim 3\nvertices 1\nedge 1 1 1 0 0\nedge 1 1 0 1 0\nedge 1 1 0 0 1"
-)
-
-
-def bench_bfs(backend):
-    specs = _neighbor_specs(CUBIC)
-    return lambda: backend.bfs_layer_counts(3, specs, 0, 60, 10**8)
 
 
 def bench_box(backend):
@@ -36,7 +25,6 @@ def bench_box(backend):
 
 
 BENCHES = [
-    ("bfs cubic depth 60", bench_bfs),
     ("box enum 5-period cone r 30", bench_box),
 ]
 

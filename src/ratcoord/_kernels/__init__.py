@@ -1,12 +1,12 @@
-"""Hot-loop kernels with a compiled core and a pure-Python fallback.
+"""Hot-loop kernels in pure Python, with one compiled twin.
 
-The compiled extension (``_speed``, built from Cython) is used when it
-imported successfully and the problem fits its fixed-width integer encoding;
-otherwise each call transparently falls back to the reference implementation
-in :mod:`ratcoord._kernels.pure`.  ``accepting_run_profiles`` and
-``linear_point_counts`` have no compiled twin and always run the reference
-implementation.  Set ``RATCOORD_PURE=1`` to force the pure backend (used by
-the benchmark and the backend-equivalence tests).
+Only ``linear_points_in_box`` has a compiled twin (``_speed``, built from
+Cython).  It is used when it imported successfully and the problem fits its
+fixed-width integer encoding; otherwise each call transparently falls back
+to the reference implementation in :mod:`ratcoord._kernels.pure`.  The other
+kernels (cover BFS, run enumeration, ``linear_point_counts``) always run the
+pure ones.  Set ``RATCOORD_PURE=1`` to force the pure backend (used by the
+benchmark and the backend-equivalence tests).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _dispatch(name):
     return kernel
 
 
-bfs_layer_counts = _dispatch("bfs_layer_counts")
 linear_points_in_box = _dispatch("linear_points_in_box")
+bfs_layer_counts = pure.bfs_layer_counts  # no compiled twin
 accepting_run_profiles = pure.accepting_run_profiles  # no compiled twin
 linear_point_counts = pure.linear_point_counts  # no compiled twin

@@ -1,12 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False
-"""Compiled twins of two pure-Python kernels: ``bfs_layer_counts`` and
-``linear_points_in_box``.
+"""Compiled twin of the pure-Python kernel ``linear_points_in_box``.
 
-Same algorithms, same results, bit for bit; states are packed into 64-bit
+Same algorithm, same results, bit for bit; points are packed into 64-bit
 integers for C-speed hashing.  Inputs that do not fit the packing raise
 OverflowError, which the dispatching wrapper turns into a pure-Python call.
-Run enumeration (``accepting_run_profiles``) and ``linear_point_counts``
-have no twin here.
+Every other kernel has no twin here.
 """
 
 from libcpp.unordered_set cimport unordered_set
@@ -16,78 +14,6 @@ ctypedef long long i64
 ctypedef unsigned long long u64
 
 from ratcoord.errors import BudgetExceeded
-
-BACKEND = "compiled"
-
-
-def bfs_layer_counts(int dim, neighbor_specs, int origin_orbit, int depth,
-                     long long max_visited):
-    cdef int num_orbits = len(neighbor_specs)
-    cdef long long max_offset = 0
-    cdef long long value
-    for spec in neighbor_specs:
-        for _, offset in spec:
-            for x in offset:
-                value = x if x >= 0 else -x
-                if value > max_offset:
-                    max_offset = value
-    cdef long long radius = <long long>depth * max_offset
-    cdef long long span = 2 * radius + 1
-
-    # capacity check: num_orbits * span^dim must stay far below 2^63
-    cdef double capacity = num_orbits
-    cdef int i
-    for i in range(dim):
-        capacity *= span
-        if capacity > 2.0e18:
-            raise OverflowError("bfs key does not fit in 64 bits")
-
-    cdef vector[i64] stride = vector[i64](dim)
-    cdef long long acc = num_orbits
-    for i in range(dim):
-        stride[i] = acc
-        acc *= span
-
-    # per-orbit packed deltas: crossing an edge adds a constant to the key
-    cdef vector[vector[i64]] deltas = vector[vector[i64]](num_orbits)
-    cdef long long delta
-    cdef int orbit
-    for orbit in range(num_orbits):
-        for target, offset in neighbor_specs[orbit]:
-            delta = <long long>target - orbit
-            for i in range(dim):
-                delta += <long long>offset[i] * stride[i]
-            deltas[orbit].push_back(delta)
-
-    cdef long long origin = origin_orbit
-    for i in range(dim):
-        origin += radius * stride[i]
-
-    cdef unordered_set[i64] visited
-    cdef vector[i64] frontier, nxt
-    visited.insert(origin)
-    frontier.push_back(origin)
-    counts = [1]
-    cdef size_t idx, j
-    cdef long long vertex, neighbor
-    cdef int level
-    for level in range(depth):
-        nxt.clear()
-        for idx in range(frontier.size()):
-            vertex = frontier[idx]
-            orbit = <int>(vertex % num_orbits)
-            for j in range(deltas[orbit].size()):
-                neighbor = vertex + deltas[orbit][j]
-                if visited.find(neighbor) == visited.end():
-                    if <long long>visited.size() >= max_visited:
-                        raise BudgetExceeded(
-                            f"BFS visited more than {max_visited} cover vertices"
-                        )
-                    visited.insert(neighbor)
-                    nxt.push_back(neighbor)
-        counts.append(nxt.size())
-        frontier.swap(nxt)
-    return counts
 
 
 cdef class _BoxEnum:

@@ -1,10 +1,9 @@
-"""Pure-Python reference implementations of the hot kernels.
+"""Pure-Python kernels: cover BFS, run enumeration and box enumeration.
 
-``bfs_layer_counts`` and ``linear_points_in_box`` have compiled twins in
-``_speed.pyx`` that must produce bit-identical results; the test suite
-checks the two backends against each other.  ``accepting_run_profiles`` and
-``linear_point_counts`` exist only here.  All indices here are 0-based (the
-public modules use 1-based orbits/states and convert).
+``linear_points_in_box`` has a compiled twin in ``_speed.pyx`` that must
+produce bit-identical results; the test suite checks the two backends
+against each other.  The other kernels exist only here.  All indices here
+are 0-based (the public modules use 1-based orbits/states and convert).
 """
 
 from __future__ import annotations
@@ -13,35 +12,44 @@ from operator import add, le, mul
 
 from ..errors import BudgetExceeded
 
-BACKEND = "python"
 
-
-def bfs_layer_counts(dim, neighbor_specs, origin_orbit, depth, max_visited):
+def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
     """Layer sizes of breadth-first search on the infinite cover.
 
     ``neighbor_specs[orbit]`` is a sequence of ``(target_orbit, offset)``
     pairs with both traversal directions already expanded.  Returns the list
     ``[c_0, ..., c_depth]`` of vertices at each exact distance from
-    ``(origin_orbit, 0)``.
+    ``(origin_orbit, 0)``.  A vertex is one integer: its cell in balanced
+    base ``2 * reach + 1`` (no coordinate within ``depth`` steps exceeds
+    ``reach``), times the orbit count, plus the orbit; an edge adds a
+    constant.  In an undirected graph layer k + 1 is the neighbourhood of
+    layer k minus layers k and k - 1, so only three layers are held; more
+    than ``max_visited`` held vertices raise BudgetExceeded.
     """
-    origin = (origin_orbit, (0,) * dim)
-    visited = {origin}
-    frontier = [origin]
+    orbits = len(neighbor_specs)
+    reach = depth * max(
+        (abs(x) for spec in neighbor_specs for _, offset in spec for x in offset),
+        default=0,
+    )
+    radix = 2 * reach + 1
+    steps = [
+        [
+            target - orbit
+            + orbits * sum(x * radix**i for i, x in enumerate(offset))
+            for target, offset in spec
+        ]
+        for orbit, spec in enumerate(neighbor_specs)
+    ]
+    previous, current = set(), {origin_orbit}
     counts = [1]
     for _ in range(depth):
-        nxt = []
-        for orbit, shift in frontier:
-            for target, offset in neighbor_specs[orbit]:
-                vertex = (target, tuple(a + b for a, b in zip(shift, offset)))
-                if vertex not in visited:
-                    if len(visited) >= max_visited:
-                        raise BudgetExceeded(
-                            f"BFS visited more than {max_visited} cover vertices"
-                        )
-                    visited.add(vertex)
-                    nxt.append(vertex)
+        nxt = {v + step for v in current for step in steps[v % orbits]}
+        nxt -= current
+        nxt -= previous
+        if len(previous) + len(current) + len(nxt) > max_visited:
+            raise BudgetExceeded(f"BFS held more than {max_visited} cover vertices")
         counts.append(len(nxt))
-        frontier = nxt
+        previous, current = current, nxt
     return counts
 
 

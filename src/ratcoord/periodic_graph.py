@@ -210,15 +210,15 @@ def bfs_coordination(
     """Coordination sequence by layered BFS on the cover.
 
     Counts cover vertices at each exact distance 0..depth from
-    ``(origin_orbit, 0)``.  Exceeding ``max_visited`` raises BudgetExceeded
-    rather than truncating.
+    ``(origin_orbit, 0)``.  Holding more than ``max_visited`` cover vertices
+    in the previous, current and next layer raises BudgetExceeded.
     """
     if not (1 <= origin_orbit <= g.num_orbits):
         raise ValueError(f"orbit index {origin_orbit} out of range")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     counts = _kernels.bfs_layer_counts(
-        g.dim, _neighbor_specs(g), origin_orbit - 1, depth, max_visited
+        _neighbor_specs(g), origin_orbit - 1, depth, max_visited
     )
     return CoordinationSequence(tuple(counts))
 

@@ -19,6 +19,20 @@ CHAIN_TEXT = "dim 1\nvertices 1\nedge 1 1 1\n"
 LADDER_TEXT = "dim 1\nvertices 2\nedge 1 2 0\nedge 1 1 1\nedge 2 2 1\n"
 THREE_RING_TEXT = "dim 1\nvertices 3\nedge 1 2 0\nedge 2 3 0\nedge 1 3 1\n"
 
+# three nets with closed-form coordination sequences, as in ratbench/nets/
+PCU_TEXT = (
+    "# primitive cubic (pcu)\ndim 3\nvertices 1\n"
+    "edge 1 1 1 0 0\nedge 1 1 0 1 0\nedge 1 1 0 0 1\n"
+)
+DIA_TEXT = (
+    "# diamond (dia), on the fcc lattice basis\ndim 3\nvertices 2\n"
+    "edge 1 2 0 0 0\nedge 1 2 1 0 0\nedge 1 2 0 1 0\nedge 1 2 0 0 1\n"
+)
+BCU_TEXT = (
+    "# body-centred cubic (bcu), on its primitive basis\ndim 3\nvertices 1\n"
+    "edge 1 1 1 0 0\nedge 1 1 0 1 0\nedge 1 1 0 0 1\nedge 1 1 1 1 1\n"
+)
+
 GRAPH_TEXTS = {
     "square": SQUARE_TEXT,
     "honeycomb": HONEYCOMB_TEXT,

@@ -17,7 +17,7 @@ from ratcoord import (
     cumulative_counts,
     parse_periodic_graph,
 )
-from .conftest import SQUARE_TEXT
+from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, SQUARE_TEXT
 
 
 class TestParse:
@@ -122,6 +122,28 @@ class TestBfs:
         with pytest.raises(BudgetExceeded):
             bfs_coordination(square, 1, 50, max_visited=10)
 
+    def test_budget_bounds_held_layers_not_ball(self):
+        # the ball to depth 60 holds 295,361 vertices, its last three shells
+        # 41,786
+        pcu = parse_periodic_graph(PCU_TEXT)
+        seq = bfs_coordination(pcu, 1, 60, max_visited=50_000)
+        assert seq.values[1:] == tuple(4 * k * k + 2 for k in range(1, 61))
+
+    @pytest.mark.parametrize(
+        "text,shell",
+        [
+            (PCU_TEXT, lambda k: 4 * k * k + 2),
+            (DIA_TEXT, lambda k: 5 * k * k // 2 + 2),
+            (BCU_TEXT, lambda k: 6 * k * k + 2),
+        ],
+        ids=["pcu", "dia", "bcu"],
+    )
+    def test_literature_closed_forms(self, text, shell):
+        g = parse_periodic_graph(text)
+        expected = (1,) + tuple(shell(k) for k in range(1, 31))
+        for origin in range(1, g.num_orbits + 1):
+            assert bfs_coordination(g, origin, 30).values == expected
+
     def test_sequence_type_invariant(self):
         with pytest.raises(ValueError):
             CoordinationSequence((2, 1))
@@ -164,7 +186,30 @@ def graph_and_vertex(draw):
     return g, CoverVertex(orbit, shift)
 
 
+def _plain_bfs(g, start, depth):
+    # the slow reference: one cover_neighbors call per vertex, the whole ball
+    seen = {start}
+    frontier = [start]
+    counts = [1]
+    for _ in range(depth):
+        nxt = []
+        for v in frontier:
+            for w in cover_neighbors(g, v):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        counts.append(len(nxt))
+        frontier = nxt
+    return tuple(counts)
+
+
 class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(graph_and_vertex())
+    def test_bfs_matches_plain_bfs_on_cover_neighbors(self, gv):
+        g, v = gv
+        assert bfs_coordination(g, v.orbit, 5).values == _plain_bfs(g, v, 5)
+
     @settings(max_examples=60, deadline=None)
     @given(graph_and_vertex())
     def test_neighbor_symmetry(self, gv):
