@@ -11,7 +11,6 @@ oracles (cover BFS, run enumeration, box enumeration), and all arithmetic is
 exact.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .automaton import (
     ParikhVector,
     VectorNFA,
@@ -72,6 +71,9 @@ from .semilinear import (
 )
 
 __version__ = "0.1.0"
+
+# every kernel is pure Python; the name stays for callers that report it
+kernel_backend = "python"
 
 __all__ = [
     "AmbiguousWitness",

@@ -1,16 +1,16 @@
-"""Pure-Python kernels: cover BFS, run enumeration and box enumeration.
+"""Hot-loop kernels: cover BFS, run enumeration and box enumeration.
 
-``linear_points_in_box`` has a compiled twin in ``_speed.pyx`` that must
-produce bit-identical results; the test suite checks the two backends
-against each other.  The other kernels exist only here.  All indices here
-are 0-based (the public modules use 1-based orbits/states and convert).
+Everything is pure Python; there is no compiled backend.  The public modules
+call these kernels through this module's attributes (``_kernels.name``), so
+a wrapper installed here sees every call.  All indices here are 0-based (the
+public modules use 1-based orbits/states and convert).
 """
 
 from __future__ import annotations
 
-from operator import add, le, mul
+from operator import add, mul
 
-from ..errors import BudgetExceeded
+from .errors import BudgetExceeded
 
 
 def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
@@ -95,83 +95,95 @@ def accepting_run_profiles(
     return accepted
 
 
-def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
-    """Points ``base + sum n_j * periods[j]`` in ``[lo, hi]``, with multiplicity.
+def linear_point_counts(bases, periods, lo, hi, weights, max_nodes):
+    """Points ``b + sum n_j * periods[j]`` in ``[lo, hi]``, b in ``bases``.
 
-    Returns ``{point: number of coefficient tuples giving it}``.  The periods
-    are added one at a time to a dict of partial sums; equal partial sums
-    merge and add their multiplicities, so shared subtrees are expanded once
-    and the counts stay exact.
+    Returns ``{point: number of (base, coefficient tuple) pairs giving it}``;
+    a base listed twice counts twice.  The periods are added one at a time
+    to a dict of partial sums; equal partial sums merge and add their
+    multiplicities, so subtrees shared between bases or coefficient tuples
+    are expanded once and the counts stay exact.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
-    period (or None).  Bounds on each multiplicity come from coordinates
-    where all remaining periods share a sign, and from the weight functional;
-    levels with no derivable bound fall back to the node budget, so the
-    search always terminates (possibly with BudgetExceeded).  One node is
-    counted for the base and one for every partial sum generated, before
-    equal ones merge: the count of the recursive compiled twin.
+    period (or None); it rides along as one more coordinate, bounded above
+    by its largest value on the box.  Each multiplicity n_j of a partial sum
+    is bounded by every coordinate where periods[j + 1:] share a sign: the
+    rest of the sum only moves that coordinate one way, so
+    ``partial + n_j * periods[j]`` must already be on the box's side of it.
+    That gives an upper bound on n_j where periods[j] moves the coordinate
+    towards that side's limit and a lower bound where it moves it away.
+    After the last period every coordinate is bounded both ways, so every
+    point returned is in the box without a final filter.  A level with no
+    upper bound falls back to the node budget, so the search always
+    terminates (possibly with BudgetExceeded).  Nodes count the bases plus
+    every partial sum generated, before equal ones merge.
     """
-    dim = len(base)
+    if weights is not None:
+        def weigh(vector):
+            return (*vector, sum(map(mul, weights, vector)))
+
+        bases = [weigh(base) for base in bases]
+        periods = [weigh(period) for period in periods]
+        lo, hi = (
+            (*lo, sum(w * (l if w > 0 else h) for w, l, h in zip(weights, lo, hi))),
+            (*hi, sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))),
+        )
+    dim = len(lo)
     k = len(periods)
-    # suffix_nonneg[j][i]: periods[j:] are all >= 0 in coordinate i
-    suffix_nonneg = [[True] * dim for _ in range(k + 1)]
-    suffix_nonpos = [[True] * dim for _ in range(k + 1)]
+    # nonneg[j][i]: periods[j:] are all >= 0 in coordinate i (nonpos: <= 0)
+    nonneg = [[True] * dim for _ in range(k + 1)]
+    nonpos = [[True] * dim for _ in range(k + 1)]
     for j in range(k - 1, -1, -1):
         for i in range(dim):
-            suffix_nonneg[j][i] = suffix_nonneg[j + 1][i] and periods[j][i] >= 0
-            suffix_nonpos[j][i] = suffix_nonpos[j + 1][i] and periods[j][i] <= 0
-    if weights is not None:
-        whi = sum(
-            w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi)
-        )
+            nonneg[j][i] = nonneg[j + 1][i] and periods[j][i] >= 0
+            nonpos[j][i] = nonpos[j + 1][i] and periods[j][i] <= 0
 
-    if max_nodes < 1:  # the base alone is one node
+    nodes = len(bases)
+    if nodes > max_nodes:
         raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-    level = {tuple(base): 1}
-    nodes = 1
+    # a base past the box where every period moves it further away is out
+    level: dict = {}
+    for base in map(tuple, bases):
+        if all(
+            (not nonneg[0][i] or x <= hi[i]) and (not nonpos[0][i] or x >= lo[i])
+            for i, x in enumerate(base)
+        ):
+            level[base] = level.get(base, 0) + 1
     for j, period in enumerate(periods):
-        # a point past the box where every remaining period moves it further
-        # away cannot come back
-        past_hi = [i for i in range(dim) if suffix_nonneg[j][i]]
-        past_lo = [i for i in range(dim) if suffix_nonpos[j][i]]
-        rising = [
-            i for i in range(dim) if period[i] > 0 and suffix_nonneg[j + 1][i]
-        ]
-        falling = [
-            i for i in range(dim) if period[i] < 0 and suffix_nonpos[j + 1][i]
-        ]
-        if weights is not None:
-            wperiod = sum(w * p for w, p in zip(weights, period))
+        # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
+        upper, lower = [], []
+        for i, p in enumerate(period):
+            if p and nonneg[j + 1][i]:
+                (upper if p > 0 else lower).append((i, hi[i], -1, abs(p)))
+            if p and nonpos[j + 1][i]:
+                (upper if p < 0 else lower).append((i, -lo[i], 1, abs(p)))
         nxt: dict = {}
         for cur, mult in level.items():
-            if any(cur[i] > hi[i] for i in past_hi) or any(
-                cur[i] < lo[i] for i in past_lo
-            ):
+            start = 0
+            if lower:
+                start = max(0, *[-((a + s * cur[i]) // q) for i, a, s, q in lower])
+            if upper:
+                stop = min([(a + s * cur[i]) // q for i, a, s, q in upper])
+            else:  # no structural bound: the budget backstops
+                stop = start + max_nodes
+            if start > stop:
                 continue
-            bounds = [(hi[i] - cur[i]) // period[i] for i in rising]
-            bounds += [(cur[i] - lo[i]) // -period[i] for i in falling]
-            if weights is not None:
-                room = whi - sum(map(mul, weights, cur))
-                bounds.append(room // wperiod)
-            # no structural bound: the budget backstops
-            bound = min(bounds) if bounds else max_nodes
-            if bound < 0:
-                continue
-            nodes += bound + 1
+            nodes += stop - start + 1
             if nodes > max_nodes:
                 raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
             point = cur
-            for _ in range(bound + 1):
+            if start:
+                point = tuple([x + start * p for x, p in zip(cur, period)])
+            for _ in range(stop - start):
                 nxt[point] = nxt.get(point, 0) + mult
                 point = tuple(map(add, point, period))
+            nxt[point] = nxt.get(point, 0) + mult
         level = nxt
-    return {
-        point: mult
-        for point, mult in level.items()
-        if all(map(le, lo, point)) and all(map(le, point, hi))
-    }
+    if weights is not None:
+        return {point[:-1]: mult for point, mult in level.items()}
+    return level
 
 
-def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
+def linear_points_in_box(bases, periods, lo, hi, weights, max_nodes):
     """The points of :func:`linear_point_counts`, as a set."""
-    return set(linear_point_counts(base, periods, lo, hi, weights, max_nodes))
+    return set(linear_point_counts(bases, periods, lo, hi, weights, max_nodes))

@@ -15,6 +15,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from . import _kernels
 from ._exactlinalg import rank, solve_columns
@@ -228,23 +229,29 @@ def _part_counts(part: LinearSet, lo, hi, budget):
     """Box points of one part with their representation multiplicities."""
     w = _positive_functional(part.periods, part.dim)
     return _kernels.linear_point_counts(
-        part.base, part.periods, tuple(lo), tuple(hi), w, budget
+        (part.base,), part.periods, tuple(lo), tuple(hi), w, budget
     )
 
 
 def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
-    """Members of the set inside the box, with set semantics across parts."""
+    """Members of the set inside the box, with set semantics across parts.
+
+    Parts with the same periods are enumerated together, in one kernel call
+    over all their bases, so partial sums they share are expanded once;
+    ``budget`` caps the nodes of each such group of parts.
+    """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     _check_dim(s, lo)
     _check_dim(s, hi)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
-    points = set()
+    groups: dict = {}
     for part in s.parts:
-        w = _positive_functional(part.periods, part.dim)
-        points |= _kernels.linear_points_in_box(
-            part.base, part.periods, lo, hi, w, budget
-        )
+        groups.setdefault(part.periods, []).append(part.base)
+    points = set()
+    for periods, bases in groups.items():
+        w = _positive_functional(periods, s.dim)
+        points |= _kernels.linear_points_in_box(bases, periods, lo, hi, w, budget)
     return points
 
 
@@ -272,20 +279,14 @@ def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
                 )
     # each period adds >= 1 to coordinate i and no base is below 0, so a
     # point with y <= y_max uses at most y_max periods: this box holds them
-    # all, and weighting coordinate i alone bounds every step (the slice
-    # condition makes the search finite, so no node budget applies)
+    # all; coordinate i is a positive functional of every part, so the
+    # search is finite and no node budget applies
     dim = s.dim or 0  # an empty set has no dimension and no points
     reach = _magnitude(s.parts) * (y_max + 1)
     lo = tuple(0 if j == idx else -reach for j in range(dim))
     hi = tuple(y_max if j == idx else reach for j in range(dim))
-    weights = tuple(1 if j == idx else 0 for j in range(dim))
-    points = set()
-    for part in s.parts:
-        points |= _kernels.linear_points_in_box(
-            part.base, part.periods, lo, hi, weights, sys.maxsize
-        )
     counts = [0] * (y_max + 1)
-    for point in points:
+    for point in enumerate_in_box(s, lo, hi, sys.maxsize):
         counts[point[idx]] += 1
     return counts
 
@@ -376,7 +377,9 @@ def disambiguate(
     Restricted greedy search: candidate parts are cones ``L(u; P)`` where u
     is the least uncovered box point and P is a linearly independent subset
     of the periods appearing in the input.  Every accepted candidate must
-    stay inside the input's box points and avoid covered ones.  The result
+    stay inside the input's box points and avoid covered ones, so a subset
+    is tried only if each of its periods q has u + q outside the box or
+    uncovered; the other subsets contain an inadmissible point.  The result
     is returned only when validate_decomposition certifies it; otherwise
     DecompositionError is raised.
 
@@ -428,11 +431,18 @@ def disambiguate(
         if len(chosen) >= 1000:
             raise DecompositionError("greedy cover exceeded 1000 parts")
         base = min(uncovered, key=sort_key)
+        admissible = {
+            q for q in universe
+            if (step := tuple(map(add, base, q))) in uncovered
+            or max(map(abs, step)) > radius
+        }
         best = None
         for periods in subsets:
+            if not admissible.issuperset(periods):
+                continue
             try:
                 points = _kernels.linear_points_in_box(
-                    base, periods, lo, hi, weights, budget
+                    (base,), periods, lo, hi, weights, budget
                 )
             except BudgetExceeded:
                 continue
@@ -463,8 +473,18 @@ def linear_set_to_json(l: LinearSet) -> dict:
     return {"base": list(l.base), "periods": [list(p) for p in l.periods]}
 
 
+def _malformed(what, exc) -> ValueError:
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else "wrong shape"
+    return ValueError(f"malformed {what} JSON: {detail}")
+
+
 def linear_set_from_json(data: dict) -> LinearSet:
-    return LinearSet(tuple(data["base"]), tuple(tuple(p) for p in data["periods"]))
+    """Inverse of linear_set_to_json; ValueError on a missing key or wrong shape."""
+    try:
+        base, periods = data["base"], data["periods"]
+        return LinearSet(tuple(base), tuple(tuple(p) for p in periods))
+    except (KeyError, TypeError) as exc:
+        raise _malformed("linear set", exc) from exc
 
 
 def semilinear_to_json(s: SemilinearSet) -> dict:
@@ -475,7 +495,12 @@ def semilinear_to_json(s: SemilinearSet) -> dict:
 
 
 def semilinear_from_json(data: dict) -> SemilinearSet:
-    s = SemilinearSet(tuple(linear_set_from_json(p) for p in data["parts"]))
+    """Inverse of semilinear_to_json; ValueError on a missing key or wrong shape."""
+    try:
+        parts = data["parts"]
+        s = SemilinearSet(tuple(linear_set_from_json(p) for p in parts))
+    except (KeyError, TypeError) as exc:
+        raise _malformed("semilinear set", exc) from exc
     if data.get("certified"):
         s = _mark_certified(s)
     return s

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from ratcoord import (
     nfa_to_json,
     build_coordination_nfa,
     parikh_image,
+    parse_periodic_graph,
     pipeline_coordination_gf,
     series_coeffs,
     validate_decomposition,
@@ -233,6 +235,18 @@ class TestCli:
         assert data["certified"] is True
         assert len(data["parts"]) >= 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"parts": [{"base": [0, 0]}]}, [1, 2]],
+        ids=["missing_key", "wrong_shape"],
+    )
+    def test_malformed_decompose_input_exit_two(self, tmp_path, capsys, payload):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["semilinear", "decompose", "--json-input", str(path)])
+        assert code == 2
+        assert "ratcoord: error:" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, graph_files):
         cmd = [
             sys.executable,
@@ -303,6 +317,43 @@ class TestMoreNets:
             decomposition = disambiguate(image, box_radius=r)
             box = (-4 * r,) * (g.dim + 1), (4 * r,) * (g.dim + 1)
             assert validate_decomposition(image, decomposition, *box)
+
+
+# Random quotient graphs whose certification box is too small (ROADMAP.md,
+# open item 2): the box cuts the path-length axis where new bases appear, and
+# the doubled-box check rejects the decomposition.
+SMALL_BOX_GRAPHS = [
+    "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 1\nedge 1 2 1 1\n",
+    "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 1\nedge 1 2 1 -1\nedge 2 2 0 1\n",
+    "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 0\nedge 1 2 1 1\n",
+    "dim 2\nvertices 2\nedge 1 2 -1 1\nedge 1 2 0 -1\nedge 1 2 1 1\nedge 2 2 1 -1\n",
+]
+SMALL_BOX_IDS = ["graph1", "graph2", "graph3", "graph4"]
+
+
+@lru_cache(maxsize=None)
+def _small_box_report(text):
+    return cross_verify(parse_periodic_graph(text), 1, 24)
+
+
+class TestCertificationBoxTooSmall:
+    @pytest.mark.parametrize("text", SMALL_BOX_GRAPHS, ids=SMALL_BOX_IDS)
+    def test_fails_explicitly(self, text):
+        report = _small_box_report(text)
+        assert report.symbolic_status == "decomposition_failed"
+        assert report.fit_status == "ok"
+        assert report.all_ok()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the certification box misses cells whose "
+        "first distance exceeds its radius",
+    )
+    @pytest.mark.parametrize("text", SMALL_BOX_GRAPHS, ids=SMALL_BOX_IDS)
+    def test_decomposes(self, text):
+        report = _small_box_report(text)
+        assert report.symbolic_status == "ok"
+        assert report.all_ok()
 
 
 class TestExitCodes:

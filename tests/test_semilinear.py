@@ -281,6 +281,18 @@ class TestDisambiguate:
         with pytest.raises((DecompositionError, BudgetExceeded)):
             disambiguate(SemilinearSet((A2,)), budget=20)
 
+    def test_cone_stepping_past_the_box(self):
+        # period (2, 1) takes the first part's base (2, -1) to (4, 0), outside
+        # the box of radius 3, so the greedy search must still try it
+        s = SemilinearSet(
+            (LinearSet((1, 1), ((2, 1), (1, 1))), LinearSet((2, -1), ((-1, 2),)))
+        )
+        d = disambiguate(s, box_radius=3)
+        assert d.parts == (
+            LinearSet((2, -1), ((-1, 2), (2, 1))),
+            LinearSet((2, 2), ((1, 1),)),
+        )
+
 
 class TestRepresentationConsistency:
     @settings(max_examples=40, deadline=None)
