@@ -7,6 +7,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _echelonize(m, ncols):
@@ -36,11 +37,31 @@ def _echelonize(m, ncols):
 
 
 def rank(vectors) -> int:
-    """Rank over the rationals of a list of integer vectors."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    if not rows:
-        return 0
-    return len(_echelonize(rows, len(rows[0])))
+    """Rank over the rationals of a list of integer vectors.
+
+    Fraction-free elimination: each pivot row clears its column from the
+    other rows by integer cross-multiplication, and every new row is divided
+    by the gcd of its entries, so no Fraction is built.
+    """
+    rows = [list(vec) for vec in vectors if any(vec)]
+    r = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(i for i, x in enumerate(pivot) if x)
+        a = pivot[col]
+        reduced = []
+        for row in rows:
+            b = row[col]
+            if b:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            reduced.append(row)
+        rows = reduced
+        r += 1
+    return r
 
 
 def solve(matrix, rhs):

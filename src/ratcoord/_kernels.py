@@ -95,95 +95,159 @@ def accepting_run_profiles(
     return accepted
 
 
-def linear_point_counts(bases, periods, lo, hi, weights, max_nodes):
-    """Points ``b + sum n_j * periods[j]`` in ``[lo, hi]``, b in ``bases``.
+def linear_point_counts(parts, lo, hi, weights, max_nodes):
+    """Points ``b + sum n_j * p_j`` in ``[lo, hi]`` over ``(b, (p_1, ...))`` parts.
 
-    Returns ``{point: number of (base, coefficient tuple) pairs giving it}``;
-    a base listed twice counts twice.  The periods are added one at a time
-    to a dict of partial sums; equal partial sums merge and add their
-    multiplicities, so subtrees shared between bases or coefficient tuples
-    are expanded once and the counts stay exact.
+    Returns ``{point: number of (part, coefficient tuple) pairs giving it}``;
+    a part listed twice counts twice.  The periods of all parts form one
+    sorted universe (a period repeated within a part is two entries).  A
+    state is a partial sum keyed by the mask of universe periods it still
+    has to add; period j expands the states whose mask holds j, one
+    multiplicity at a time, into the mask without j, and passes the others
+    through.  Equal partial sums under equal masks merge and add their
+    multiplicities, so parts whose remaining periods coincide share their
+    expansion and the counts stay exact.  A part whose periods are sorted
+    adds them in its own order, so one pass over such parts generates at
+    most the partial sums of one pass per part.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
     period (or None); it rides along as one more coordinate, bounded above
-    by its largest value on the box.  Each multiplicity n_j of a partial sum
-    is bounded by every coordinate where periods[j + 1:] share a sign: the
-    rest of the sum only moves that coordinate one way, so
-    ``partial + n_j * periods[j]`` must already be on the box's side of it.
-    That gives an upper bound on n_j where periods[j] moves the coordinate
-    towards that side's limit and a lower bound where it moves it away.
-    After the last period every coordinate is bounded both ways, so every
-    point returned is in the box without a final filter.  A level with no
-    upper bound falls back to the node budget, so the search always
-    terminates (possibly with BudgetExceeded).  Nodes count the bases plus
-    every partial sum generated, before equal ones merge.
+    by its largest value on the box, unless it is a unit vector: that
+    coordinate already gives the same bounds.  Each multiplicity of period j is
+    bounded by every coordinate where the periods still to add after it
+    share a sign: the rest of the sum only moves that coordinate one way,
+    so ``partial + n * p_j`` must already be on the box's side of it.  That
+    gives an upper bound on n where p_j moves the coordinate towards that
+    side's limit and a lower bound where it moves it away.  With no period
+    left every coordinate is bounded both ways, so every point returned is
+    in the box without a final filter.  A state with no upper bound falls
+    back to the node budget, so the search always terminates (possibly with
+    BudgetExceeded).  Nodes count the parts plus every partial sum
+    generated, before equal ones merge.
     """
-    if weights is not None:
+    nodes = len(parts)
+    if nodes > max_nodes:
+        raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
+    # bases by their mask over (period, copy number) in order of first
+    # appearance; a period repeated within a part takes one entry per copy
+    index: dict = {}
+    grouped: dict = {}
+    for base, periods in parts:
+        mask = 0
+        for period in periods:
+            n = 0
+            while mask >> (j := index.setdefault((tuple(period), n), len(index))) & 1:
+                n += 1
+            mask |= 1 << j
+        grouped.setdefault(mask, []).append(base)
+    # the universe is sorted, so a part whose periods are sorted adds them in
+    # its own order; moved[j] is the sorted bit of first-appearance entry j
+    entries = sorted(index)
+    moved = [0] * len(entries)
+    for j, key in enumerate(entries):
+        moved[index[key]] = 1 << j
+    universe = [period for period, _ in entries]
+
+    if weights is not None and sorted(weights) == [0] * (len(weights) - 1) + [1]:
+        weights = None  # a unit functional repeats a coordinate and its bounds
+    strip = weights is not None
+    if strip:
         def weigh(vector):
             return (*vector, sum(map(mul, weights, vector)))
 
-        bases = [weigh(base) for base in bases]
-        periods = [weigh(period) for period in periods]
+        universe = [weigh(period) for period in universe]
         lo, hi = (
             (*lo, sum(w * (l if w > 0 else h) for w, l, h in zip(weights, lo, hi))),
             (*hi, sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))),
         )
-    dim = len(lo)
-    k = len(periods)
-    # nonneg[j][i]: periods[j:] are all >= 0 in coordinate i (nonpos: <= 0)
-    nonneg = [[True] * dim for _ in range(k + 1)]
-    nonpos = [[True] * dim for _ in range(k + 1)]
-    for j in range(k - 1, -1, -1):
-        for i in range(dim):
-            nonneg[j][i] = nonneg[j + 1][i] and periods[j][i] >= 0
-            nonpos[j][i] = nonpos[j + 1][i] and periods[j][i] <= 0
+    # bit j of negative[i] (positive[i]): universe[j] is < 0 (> 0) in coordinate i
+    negative = [0] * len(lo)
+    positive = [0] * len(lo)
+    for j, period in enumerate(universe):
+        for i, x in enumerate(period):
+            if x < 0:
+                negative[i] |= 1 << j
+            elif x > 0:
+                positive[i] |= 1 << j
 
-    nodes = len(bases)
-    if nodes > max_nodes:
-        raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-    # a base past the box where every period moves it further away is out
-    level: dict = {}
-    for base in map(tuple, bases):
-        if all(
-            (not nonneg[0][i] or x <= hi[i]) and (not nonpos[0][i] or x >= lo[i])
-            for i, x in enumerate(base)
-        ):
-            level[base] = level.get(base, 0) + 1
-    for j, period in enumerate(periods):
-        # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
-        upper, lower = [], []
-        for i, p in enumerate(period):
-            if p and nonneg[j + 1][i]:
-                (upper if p > 0 else lower).append((i, hi[i], -1, abs(p)))
-            if p and nonpos[j + 1][i]:
-                (upper if p < 0 else lower).append((i, -lo[i], 1, abs(p)))
-        nxt: dict = {}
-        for cur, mult in level.items():
-            start = 0
-            if lower:
-                start = max(0, *[-((a + s * cur[i]) // q) for i, a, s, q in lower])
-            if upper:
-                stop = min([(a + s * cur[i]) // q for i, a, s, q in upper])
-            else:  # no structural bound: the budget backstops
-                stop = start + max_nodes
-            if start > stop:
-                continue
-            nodes += stop - start + 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-            point = cur
-            if start:
-                point = tuple([x + start * p for x, p in zip(cur, period)])
-            for _ in range(stop - start):
+    level: dict = {}  # {mask of periods still to add: {partial sum: multiplicity}}
+    for old, bases in grouped.items():
+        mask = 0
+        for bit in moved:
+            if old & 1:
+                mask |= bit
+            old >>= 1
+        states = level[mask] = {}
+        for base in map(weigh, bases) if strip else map(tuple, bases):
+            # a base past the box where every period moves it further away is out
+            if all(
+                (mask & negative[i] or x <= hi[i])
+                and (mask & positive[i] or x >= lo[i])
+                for i, x in enumerate(base)
+            ):
+                states[base] = states.get(base, 0) + 1
+
+    counts = None
+    for j, period in enumerate(universe):
+        if 0 in level:
+            counts = _collect(counts, level.pop(0), strip)
+        bit = 1 << j
+        for mask in [m for m in level if m & bit]:
+            rest = mask ^ bit
+            # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
+            upper, lower = [], []
+            for i, p in enumerate(period):
+                if p and not rest & negative[i]:
+                    (upper if p > 0 else lower).append((i, hi[i], -1, abs(p)))
+                if p and not rest & positive[i]:
+                    (upper if p < 0 else lower).append((i, -lo[i], 1, abs(p)))
+            states = level.pop(mask)
+            nxt = level.setdefault(rest, {})
+            for cur, mult in states.items():
+                start = 0
+                if lower:
+                    start = max(0, *[-((a + s * cur[i]) // q) for i, a, s, q in lower])
+                if upper:
+                    stop = min([(a + s * cur[i]) // q for i, a, s, q in upper])
+                else:  # no structural bound: the budget backstops
+                    stop = start + max_nodes
+                if start > stop:
+                    continue
+                nodes += stop - start + 1
+                if nodes > max_nodes:
+                    raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
+                point = cur
+                if start:
+                    point = tuple([x + start * p for x, p in zip(cur, period)])
+                for _ in range(stop - start):
+                    nxt[point] = nxt.get(point, 0) + mult
+                    point = tuple(map(add, point, period))
                 nxt[point] = nxt.get(point, 0) + mult
-                point = tuple(map(add, point, period))
-            nxt[point] = nxt.get(point, 0) + mult
-        level = nxt
-    if weights is not None:
-        return {point[:-1]: mult for point, mult in level.items()}
-    return level
+            del states
+    if 0 in level:
+        counts = _collect(counts, level.pop(0), strip)
+    return {} if counts is None else counts
 
 
-def linear_points_in_box(bases, periods, lo, hi, weights, max_nodes):
+def _collect(counts, finished, strip):
+    """Merge finished partial sums into ``counts`` (None before the first).
+
+    The first finished dict becomes ``counts``; later ones are drained into
+    it, so no finished state is held twice.  ``strip`` drops the weight
+    coordinate.
+    """
+    if counts is None:
+        if strip:
+            return {point[:-1]: mult for point, mult in finished.items()}
+        return finished
+    while finished:
+        point, mult = finished.popitem()
+        if strip:
+            point = point[:-1]
+        counts[point] = counts.get(point, 0) + mult
+    return counts
+
+
+def linear_points_in_box(parts, lo, hi, weights, max_nodes):
     """The points of :func:`linear_point_counts`, as a set."""
-    return set(linear_point_counts(bases, periods, lo, hi, weights, max_nodes))
+    return set(linear_point_counts(parts, lo, hi, weights, max_nodes))

@@ -4,15 +4,17 @@ A linear set is ``{base + n_1*p_1 + ... + n_k*p_k : n_j in N}``; a semilinear
 set is a finite union of linear sets.  A linear set is unambiguous when every
 member has exactly one coefficient tuple.  The operations here are all exact
 and bounded: counting, enumeration and certification all run one lattice-point
-kernel that returns the multiplicity of every point of a linear set inside a
-box, and the disambiguation procedure is a restricted greedy search whose
-output is only ever returned together with a successful box certification.
+kernel that returns the multiplicity of every point of a union of linear sets
+inside a box, and the disambiguation procedure is a restricted greedy search
+whose output is only ever returned together with a successful box
+certification.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -114,6 +116,19 @@ class Unknown:
 # ---------------------------------------------------------------------------
 # helpers
 
+@lru_cache(maxsize=None)
+def _functional_grid(dim: int) -> tuple:
+    """Nonzero candidate functionals of ``_positive_functional``, in search order."""
+    if dim > 6:
+        units = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+        return tuple(units + [tuple(-w for w in c) for c in units])
+    radius = 3 if dim <= 4 else 1
+    grid = itertools.product(range(-radius, radius + 1), repeat=dim)
+    return tuple(
+        sorted(filter(any, grid), key=lambda w: (sum(abs(x) for x in w), w))
+    )
+
+
 @lru_cache(maxsize=4096)
 def _positive_functional(periods: tuple, dim: int):
     """Integer w with w . p >= 1 for every period, or None.
@@ -123,21 +138,8 @@ def _positive_functional(periods: tuple, dim: int):
     """
     if not periods:
         return None
-    if dim > 6:
-        candidates = [
-            tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)
-        ]
-        candidates += [tuple(-w for w in c) for c in candidates]
-    else:
-        radius = 3 if dim <= 4 else 1
-        candidates = sorted(
-            itertools.product(range(-radius, radius + 1), repeat=dim),
-            key=lambda w: (sum(abs(x) for x in w), w),
-        )
-    for w in candidates:
-        if any(x != 0 for x in w) and all(
-            sum(a * b for a, b in zip(w, p)) >= 1 for p in periods
-        ):
+    for w in _functional_grid(dim):
+        if all(sum(a * b for a, b in zip(w, p)) >= 1 for p in periods):
             return w
     return None
 
@@ -229,29 +231,45 @@ def _part_counts(part: LinearSet, lo, hi, budget):
     """Box points of one part with their representation multiplicities."""
     w = _positive_functional(part.periods, part.dim)
     return _kernels.linear_point_counts(
-        (part.base,), part.periods, tuple(lo), tuple(hi), w, budget
+        ((part.base, part.periods),), tuple(lo), tuple(hi), w, budget
     )
+
+
+def _functional_groups(parts, dim):
+    """``(weights, parts)`` pairs that each admit the one positive functional.
+
+    All parts form one group when their periods share a positive functional;
+    otherwise each group holds the parts with the same per-part functional
+    (None for parts that have none).
+    """
+    periods = tuple(dict.fromkeys(p for part in parts for p in part.periods))
+    w = _positive_functional(periods, dim)
+    if w is not None or not periods:
+        return [(w, [(part.base, part.periods) for part in parts])]
+    groups: dict = {}
+    for part in parts:
+        groups.setdefault(_positive_functional(part.periods, dim), []).append(
+            (part.base, part.periods)
+        )
+    return list(groups.items())
 
 
 def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     """Members of the set inside the box, with set semantics across parts.
 
-    Parts with the same periods are enumerated together, in one kernel call
-    over all their bases, so partial sums they share are expanded once;
-    ``budget`` caps the nodes of each such group of parts.
+    All parts are enumerated in one kernel call when their periods share a
+    positive functional (else one call per distinct per-part functional), so
+    partial sums whose remaining periods coincide are expanded once;
+    ``budget`` caps the nodes of each call.
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     _check_dim(s, lo)
     _check_dim(s, hi)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
-    groups: dict = {}
-    for part in s.parts:
-        groups.setdefault(part.periods, []).append(part.base)
     points = set()
-    for periods, bases in groups.items():
-        w = _positive_functional(periods, s.dim)
-        points |= _kernels.linear_points_in_box(bases, periods, lo, hi, w, budget)
+    for w, group in _functional_groups(s.parts, len(lo)):
+        points |= _kernels.linear_points_in_box(group, lo, hi, w, budget)
     return points
 
 
@@ -346,16 +364,14 @@ def validate_decomposition(
 def _certify(orig_points, parts, lo, hi, budget) -> bool:
     """validate_decomposition against already enumerated original points.
 
-    One kernel pass per part gives both its box points and their
-    multiplicities.
+    One counting pass over all parts: every box point has exactly one
+    representation summed over the parts iff the parts are unambiguous and
+    pairwise disjoint in the box, and the points must be the original's.
     """
-    union: set = set()
-    for part in parts:
-        counts = _part_counts(part, lo, hi, budget)
-        if any(c != 1 for c in counts.values()) or not union.isdisjoint(counts):
-            return False
-        union.update(counts)
-    return union == orig_points
+    counts: Counter = Counter()
+    for w, group in _functional_groups(parts, len(lo)):
+        counts.update(_kernels.linear_point_counts(group, lo, hi, w, budget))
+    return counts.keys() == orig_points and all(c == 1 for c in counts.values())
 
 
 def _independent_subsets(universe, max_size):
@@ -442,7 +458,7 @@ def disambiguate(
                 continue
             try:
                 points = _kernels.linear_points_in_box(
-                    (base,), periods, lo, hi, weights, budget
+                    ((base, periods),), lo, hi, weights, budget
                 )
             except BudgetExceeded:
                 continue

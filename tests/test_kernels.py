@@ -16,32 +16,36 @@ from ratcoord.errors import BudgetExceeded
 
 @st.composite
 def small_linear_sets(draw):
-    """(bases, periods, lo, hi, weights) with ``weights . p >= 1`` throughout.
+    """(parts, lo, hi, weights) with ``weights . p >= 1`` for every period.
 
-    Periods may be dependent, repeated, or negative in some coordinates;
-    bases may repeat.
+    One to three ``(base, periods)`` parts draw their periods from a shared
+    pool, so their period sets overlap, differ or coincide; a part may
+    repeat a period, parts may repeat, and periods may be dependent or
+    negative in some coordinates.
     """
     dim = draw(st.integers(1, 3))
     vectors = st.tuples(*[st.integers(-2, 2)] * dim)
     weights = draw(st.tuples(*[st.integers(-1, 1)] * dim).filter(any))
-    periods = draw(
+    pool = draw(
         st.lists(
             vectors.filter(lambda p: sum(w * x for w, x in zip(weights, p)) >= 1),
-            max_size=3,
+            min_size=1,
+            max_size=4,
         )
     )
-    bases = draw(st.lists(vectors, min_size=1, max_size=3))
+    periods = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    parts = draw(st.lists(st.tuples(vectors, periods), min_size=1, max_size=3))
     lo = draw(st.tuples(*[st.integers(-4, 1)] * dim))
     hi = tuple(low + draw(st.integers(0, 4)) for low in lo)
-    return tuple(bases), tuple(periods), lo, hi, weights
+    return tuple(parts), lo, hi, weights
 
 
-def _brute_force_counts(bases, periods, lo, hi, weights):
+def _brute_force_counts(parts, lo, hi, weights):
     # weights . p >= 1 for every period, so the coefficients of any point in
     # the box sum to at most max(weights . box) - weights . base
     top = sum(w * (h if w > 0 else low) for w, low, h in zip(weights, lo, hi))
     counts = Counter()
-    for base in bases:
+    for base, periods in parts:
         reach = top - sum(w * b for w, b in zip(weights, base))
         for ns in itertools.product(range(max(reach, 0) + 1), repeat=len(periods)):
             point = tuple(
@@ -55,25 +59,34 @@ def _brute_force_counts(bases, periods, lo, hi, weights):
 
 @settings(max_examples=150, deadline=None)
 @given(small_linear_sets())
-@example((((2, 2),), ((2, 0), (1, 1), (0, 2)), (0, 0), (14, 14), (1, 1)))
-@example((((0,),), ((2,), (3,)), (-4,), (30,), (1,)))
-@example((((0, 0),), ((1, -1), (1, 1)), (-6, -6), (6, 6), (1, 0)))
+@example(((((2, 2), ((2, 0), (1, 1), (0, 2))),), (0, 0), (14, 14), (1, 1)))
+@example(((((0,), ((2,), (3,))),), (-4,), (30,), (1,)))
+@example(((((0, 0), ((1, -1), (1, 1))),), (-6, -6), (6, 6), (1, 0)))
+@example(((((0, 0), ((2, -1), (-1, 2))),), (-3, -3), (3, 3), (1, 1)))
 @example(
-    (((0, 0, 0),), ((1, 0, 1), (0, 1, 1), (0, 0, 1)), (-9, -9, -9), (9, 9, 9), (0, 0, 1))
+    (
+        (((0, 0, 0), ((1, 0, 1), (0, 1, 1), (0, 0, 1))),),
+        (-9, -9, -9),
+        (9, 9, 9),
+        (0, 0, 1),
+    )
+)
+@example(
+    (
+        (((0, 0), ((1, 0), (1, 0), (0, 1))), ((1, 1), ((0, 1), (1, 0))), ((0, 0), ())),
+        (0, 0),
+        (5, 5),
+        (1, 1),
+    )
 )
 def test_point_counts_match_brute_force(case):
-    bases, periods, lo, hi, weights = case
-    counts = _kernels.linear_point_counts(bases, periods, lo, hi, weights, 10**6)
-    assert counts == _brute_force_counts(bases, periods, lo, hi, weights)
-    assert _kernels.linear_points_in_box(
-        bases, periods, lo, hi, weights, 10**6
-    ) == set(counts)
-    if all(x >= 0 for p in periods for x in p):
+    parts, lo, hi, weights = case
+    counts = _kernels.linear_point_counts(parts, lo, hi, weights, 10**6)
+    assert counts == _brute_force_counts(parts, lo, hi, weights)
+    assert _kernels.linear_points_in_box(parts, lo, hi, weights, 10**6) == set(counts)
+    if all(x >= 0 for _, periods in parts for p in periods for x in p):
         # sign-monotone coordinates alone bound the search
-        assert (
-            _kernels.linear_point_counts(bases, periods, lo, hi, None, 10**6)
-            == counts
-        )
+        assert _kernels.linear_point_counts(parts, lo, hi, None, 10**6) == counts
 
 
 @pytest.mark.parametrize(
@@ -85,16 +98,30 @@ def test_point_counts_match_brute_force(case):
     ],
 )
 def test_box_without_weights(bases, periods, expected):
-    counts = _kernels.linear_point_counts(bases, periods, (0, 0), (3, 3), None, 10**6)
+    parts = [(base, periods) for base in bases]
+    counts = _kernels.linear_point_counts(parts, (0, 0), (3, 3), None, 10**6)
     assert counts == expected
 
 
 def test_node_budget_counts_bases_and_partial_sums():
-    # two bases, then 0..3 and 1..3 steps of the period: 2 + 4 + 3 nodes
-    args = (((0,), (1,)), ((1,),), (0,), (3,), None)
+    # two parts (one base each), then 0..3 and 1..3 steps of the period:
+    # 2 + 4 + 3 nodes
+    args = ((((0,), ((1,),)), ((1,), ((1,),))), (0,), (3,), None)
     assert len(_kernels.linear_point_counts(*args, 9)) == 4
     with pytest.raises(BudgetExceeded):
         _kernels.linear_point_counts(*args, 8)
+
+
+def test_parts_with_different_periods_share_their_expansion():
+    # the first part's partial sums (0, 0..3) still to add (1, 0) include the
+    # second part's base, which merges with them: 2 parts + 4 + 4 * 4 nodes,
+    # where one pass per part would generate (1 + 4 + 16) + (1 + 4)
+    parts = (((0, 0), ((0, 1), (1, 0))), ((0, 1), ((1, 0),)))
+    args = (parts, (0, 0), (3, 3), None)
+    counts = _kernels.linear_point_counts(*args, 22)
+    assert counts == {(x, y): 1 + (y == 1) for x in range(4) for y in range(4)}
+    with pytest.raises(BudgetExceeded):
+        _kernels.linear_point_counts(*args, 21)
 
 
 @st.composite
@@ -157,5 +184,5 @@ def test_backend_name_exposed():
 
 def test_high_dimension_box():
     base = (0,) * 13
-    pts = _kernels.linear_points_in_box((base,), (), base, (1,) * 13, None, 10**6)
+    pts = _kernels.linear_points_in_box(((base, ()),), base, (1,) * 13, None, 10**6)
     assert pts == {base}

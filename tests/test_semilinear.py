@@ -29,6 +29,12 @@ from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points
 
 A2 = AMBIGUOUS_EXAMPLE
 A_FULL = SemilinearSet((LinearSet((0, 0)), A2))
+OPPOSED = SemilinearSet(
+    (
+        LinearSet((0, 0), ((2, -1), (-1, 2))),
+        LinearSet((0, 0), ((-2, 1), (1, -2))),
+    )
+)
 
 
 class TestConstruction:
@@ -152,6 +158,18 @@ class TestEnumerateInBox:
         with pytest.raises(ValueError):
             enumerate_in_box(A_FULL, (2, 2), (1, 1))
 
+    def test_parts_without_common_functional(self):
+        # each part has a positive functional, (1, 1) and (-1, -1), but no
+        # functional is positive on both parts' periods
+        got = enumerate_in_box(OPPOSED, (-6, -6), (6, 6))
+        assert got == set().union(
+            *[
+                enumerate_in_box(SemilinearSet((part,)), (-6, -6), (6, 6))
+                for part in OPPOSED.parts
+            ]
+        )
+        assert (0, 0) in got and (2, -1) in got and (-2, 1) in got
+
 
 class TestSliceCounts:
     def test_one_dimensional(self):
@@ -239,6 +257,20 @@ class TestValidateDecomposition:
         assert not validate_decomposition(
             SemilinearSet((A2,)), SemilinearSet((A2,)), (0, 0), (20, 20)
         )
+
+    def test_parts_without_common_functional(self):
+        # OPPOSED's parts share only the origin: the second part without it
+        # is L((-2, 1); P) plus L((1, -2); (1, -2)), P its periods
+        first, second = OPPOSED.parts
+        disjoint = SemilinearSet(
+            (
+                first,
+                LinearSet((-2, 1), second.periods),
+                LinearSet((1, -2), ((1, -2),)),
+            )
+        )
+        assert validate_decomposition(OPPOSED, disjoint, (-6, -6), (6, 6))
+        assert not validate_decomposition(OPPOSED, OPPOSED, (-6, -6), (6, 6))
 
 
 class TestDisambiguate:
