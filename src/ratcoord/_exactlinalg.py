@@ -1,39 +1,15 @@
 """Small exact linear-algebra helpers over the rationals.
 
 Everything here works on sequences of ints or Fractions and never touches
-floating point.
+floating point.  Elimination runs on integers alone: rows are scaled to
+integers and kept primitive by gcd division, so no Fraction is built until
+a solution is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _echelonize(m, ncols):
-    """Reduce the augmented matrix ``m`` in place; return the pivot columns."""
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = Fraction(1, 1) / m[row][col]
-        m[row] = [v * inv for v in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
-    return pivots
+from math import gcd, lcm
 
 
 def rank(vectors) -> int:
@@ -70,21 +46,45 @@ def solve(matrix, rhs):
     Returns ``(solution, free_columns)`` where every free variable is set to
     zero, or ``None`` when the system is inconsistent.  ``free_columns`` empty
     means the solution is unique.
+
+    Fraction-free Gauss-Jordan elimination: each augmented row is scaled to
+    integers, a pivot clears its column from every other row by integer
+    cross-multiplication, and each new row is divided by the gcd of its
+    entries.  Every row stays a nonzero multiple of the row that elimination
+    over the Fractions would hold, so the pivot columns are the same; only
+    the returned values ``rhs / pivot`` are Fractions.
     """
     if not matrix:
         return ([], []) if all(b == 0 for b in rhs) else None
     ncols = len(matrix[0])
-    m = [
-        [Fraction(v) for v in row] + [Fraction(b)]
-        for row, b in zip(matrix, rhs)
-    ]
-    pivots = _echelonize(m, ncols)
-    for r in range(len(pivots), len(m)):
-        if m[r][ncols] != 0:
-            return None
+    m = []
+    for row, b in zip(matrix, rhs):
+        row = [*row, b]
+        scale = lcm(*(v.denominator for v in row))
+        m.append([int(v * scale) for v in row])
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pivot = m[r]
+        a = pivot[col]
+        for i, row in enumerate(m):
+            b = row[col]
+            if b and i != r:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = m[i][ncols]
+    for row, col in zip(m, pivots):
+        sol[col] = Fraction(row[ncols], row[col])
     free = [c for c in range(ncols) if c not in pivots]
     return sol, free
 

@@ -1,6 +1,8 @@
 """Hot-loop kernels: cover BFS, run enumeration and box enumeration.
 
-Everything is pure Python; there is no compiled backend.  The public modules
+Everything is pure Python; there is no compiled backend.  Cover BFS is
+word-parallel: a layer is one integer per orbit, a bitset over the cells in
+reach, and an edge moves a whole layer with one shift.  The public modules
 call these kernels through this module's attributes (``_kernels.name``), so
 a wrapper installed here sees every call.  All indices here are 0-based (the
 public modules use 1-based orbits/states and convert).
@@ -19,36 +21,50 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
     ``neighbor_specs[orbit]`` is a sequence of ``(target_orbit, offset)``
     pairs with both traversal directions already expanded.  Returns the list
     ``[c_0, ..., c_depth]`` of vertices at each exact distance from
-    ``(origin_orbit, 0)``.  A vertex is one integer: its cell in balanced
-    base ``2 * reach + 1`` (no coordinate within ``depth`` steps exceeds
-    ``reach``), times the orbit count, plus the orbit; an edge adds a
-    constant.  In an undirected graph layer k + 1 is the neighbourhood of
-    layer k minus layers k and k - 1, so only three layers are held; more
-    than ``max_visited`` held vertices raise BudgetExceeded.
+    ``(origin_orbit, 0)``.  A layer is one integer per orbit, a bitset over
+    cells: axis i has reach ``r_i = depth * max |offset_i|`` (no vertex
+    within ``depth`` steps lies further out) and place value
+    ``prod_{j<i} (2 r_j + 1)``, and bit c is the cell whose mixed-radix
+    index is c.  An edge then shifts a whole layer by a constant; since no
+    coordinate within ``depth`` steps leaves its reach, no shift carries
+    one axis into the next.  In an undirected graph layer k + 1 is the
+    neighbourhood of layer k minus layers k and k - 1, so only three layers
+    are held; more than ``max_visited`` held vertices raise
+    BudgetExceeded.  So does a span of more than
+    ``64 * max_visited`` bits over all orbits, before any layer is built:
+    a layer then costs at most 8 bytes per budgeted vertex.
     """
     orbits = len(neighbor_specs)
-    reach = depth * max(
-        (abs(x) for spec in neighbor_specs for _, offset in spec for x in offset),
-        default=0,
-    )
-    radix = 2 * reach + 1
-    steps = [
-        [
-            target - orbit
-            + orbits * sum(x * radix**i for i, x in enumerate(offset))
-            for target, offset in spec
-        ]
-        for orbit, spec in enumerate(neighbor_specs)
+    reaches = [
+        depth * max(map(abs, axis))
+        for axis in zip(*(offset for spec in neighbor_specs for _, offset in spec))
     ]
-    previous, current = set(), {origin_orbit}
+    place, places = 1, []
+    for reach in reaches:
+        places.append(place)
+        place *= 2 * reach + 1
+    if place * orbits > 64 * max_visited:
+        raise BudgetExceeded(
+            f"BFS layers would span more than {64 * max_visited} bits"
+        )
+    steps = [
+        [(target, sum(map(mul, offset, places))) for target, offset in spec]
+        for spec in neighbor_specs
+    ]
+    previous = [0] * orbits
+    current = [0] * orbits
+    current[origin_orbit] = 1 << sum(map(mul, reaches, places))
     counts = [1]
     for _ in range(depth):
-        nxt = {v + step for v in current for step in steps[v % orbits]}
-        nxt -= current
-        nxt -= previous
-        if len(previous) + len(current) + len(nxt) > max_visited:
+        nxt = [0] * orbits
+        for layer, spec in zip(current, steps):
+            for target, step in spec:
+                nxt[target] |= layer << step if step >= 0 else layer >> -step
+        nxt = [n & ~(c | p) for n, c, p in zip(nxt, current, previous)]
+        size = sum(n.bit_count() for n in nxt)
+        if sum(counts[-2:]) + size > max_visited:
             raise BudgetExceeded(f"BFS held more than {max_visited} cover vertices")
-        counts.append(len(nxt))
+        counts.append(size)
         previous, current = current, nxt
     return counts
 

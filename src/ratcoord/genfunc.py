@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -237,6 +238,13 @@ def gf_unambiguous_linear(l: LinearSet, i: int) -> RationalGF:
     return RationalGF(num, den)
 
 
+def _solve_recurrence(prefix, t, start, stop):
+    """:func:`solve` for b with ``prefix[k] = sum_i b_i * prefix[k - i]``,
+    i = 1..t, at every k in ``[start, stop)``."""
+    rows = [[prefix[k - i] for i in range(1, t + 1)] for k in range(start, stop)]
+    return solve(rows, prefix[start:stop])
+
+
 def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     """Minimal-order rational function whose expansion matches the prefix.
 
@@ -245,6 +253,11 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     coefficients are solved exactly, the numerator is reconstructed, and the
     whole prefix must be reproduced.  The last ``verify_window`` entries are
     excluded from every solve and only checked, so they are predictions.
+
+    For t > 0 the equations for start s are those for start s - 1 minus one,
+    so a start whose system is consistent stays consistent at every later
+    start: the consistent starts form a suffix of ``[t, fit_end - t]``.  The
+    first of them is found by bisection, and the scan begins there.
     """
     prefix = [int(v) for v in prefix]
     n = len(prefix)
@@ -257,15 +270,19 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     fit_end = n - verify_window
     # orders the data cannot support (fewer than 2t fitted terms) are skipped
     for t in range(min(max_order, fit_end // 2) + 1):
-        for start in range(t, fit_end + 1):
+        first = t
+        if t > 0:  # the starts sort as inconsistent (False) before consistent
+            first += bisect_left(
+                range(t, fit_end - t + 1),
+                True,
+                key=lambda s: _solve_recurrence(prefix, t, s, fit_end) is not None,
+            )
+        for start in range(first, fit_end + 1):
             if t > 0 and fit_end - start < t:
                 break  # not enough equations to pin the coefficients down
-            rows = [
-                [prefix[k - i] for i in range(1, t + 1)]
-                for k in range(start, fit_end)
-            ]
-            rhs = [prefix[k] for k in range(start, fit_end)]
-            solution = solve(rows, rhs) if t > 0 else ([], [])
+            solution = (
+                _solve_recurrence(prefix, t, start, fit_end) if t > 0 else ([], [])
+            )
             if solution is None:
                 continue
             if t == 0 and any(v != 0 for v in prefix[start:fit_end]):

@@ -1,11 +1,58 @@
-"""Fraction-free rank against the Fraction elimination that ``solve`` uses."""
+"""Fraction-free ``rank`` and ``solve`` against Gauss-Jordan over Fractions."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratcoord._exactlinalg import _echelonize, rank
+from ratcoord._exactlinalg import rank, solve
+
+
+def _echelonize(m, ncols):
+    """Reduce the augmented Fraction matrix ``m`` in place; return the pivot
+    columns.  The reference: normalise each pivot row, clear its column."""
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(row, len(m)):
+            if m[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        inv = Fraction(1, 1) / m[row][col]
+        m[row] = [v * inv for v in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(m):
+            break
+    return pivots
+
+
+def _reference_solve(matrix, rhs):
+    """``solve`` by Fraction Gauss-Jordan, free variables set to zero."""
+    if not matrix:
+        return ([], []) if all(b == 0 for b in rhs) else None
+    ncols = len(matrix[0])
+    m = [
+        [Fraction(v) for v in row] + [Fraction(b)]
+        for row, b in zip(matrix, rhs)
+    ]
+    pivots = _echelonize(m, ncols)
+    for r in range(len(pivots), len(m)):
+        if m[r][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        sol[col] = m[i][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    return sol, free
 
 
 @st.composite
@@ -25,3 +72,36 @@ def test_rank_matches_fraction_elimination(matrix):
     expected = len(_echelonize(rows, len(rows[0]))) if rows else 0
     assert rank(matrix) == expected
     assert rank([tuple(row) for row in matrix]) == expected
+
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def linear_systems(draw):
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 5))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    matrix = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    rhs = draw(st.lists(entries, min_size=nrows, max_size=nrows))
+    return matrix, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+@example(([], []))  # empty, consistent
+@example(([], [1]))  # empty, inconsistent
+@example(([[0, 0], [1, 2]], [0, 3]))  # a zero row
+@example(([[1, 2], [2, 4]], [1, 3]))  # inconsistent
+@example(([[1, 2, 3], [0, 0, 1]], [4, 5]))  # underdetermined: free column 1
+@example(([[Fraction(1, 2), Fraction(1, 3)], [2, -1]], [Fraction(5, 6), 1]))
+def test_solve_matches_fraction_elimination(system):
+    matrix, rhs = system
+    expected = _reference_solve(matrix, rhs)
+    got = solve(matrix, rhs)
+    assert got == expected
+    if got is not None:
+        assert all(type(x) is Fraction for x in got[0])

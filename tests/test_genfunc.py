@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratcoord import (
@@ -18,6 +18,7 @@ from ratcoord import (
     slice_counts,
     to_quasi_polynomial,
 )
+from ratcoord._exactlinalg import solve
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
@@ -220,3 +221,81 @@ class TestFitHypothesis:
         q = RationalGF(num, [1] + den_tail)
         prefix = series_coeffs(q, 17)
         assert fit_rational(prefix, 3, 5) == q
+
+
+def _reference_fit(prefix, max_order, verify_window):
+    """``fit_rational`` with a linear scan over every start: the reference
+    for the bisected scan."""
+    prefix = [int(v) for v in prefix]
+    n = len(prefix)
+    if verify_window < 0 or max_order < 0:
+        raise ValueError("max_order and verify_window must be nonnegative")
+    if n < verify_window + 1:
+        raise ValueError(f"need at least {verify_window + 1} terms, got {n}")
+    fit_end = n - verify_window
+    for t in range(min(max_order, fit_end // 2) + 1):
+        for start in range(t, fit_end + 1):
+            if t > 0 and fit_end - start < t:
+                break
+            rows = [
+                [prefix[k - i] for i in range(1, t + 1)]
+                for k in range(start, fit_end)
+            ]
+            rhs = [prefix[k] for k in range(start, fit_end)]
+            solution = solve(rows, rhs) if t > 0 else ([], [])
+            if solution is None:
+                continue
+            if t == 0 and any(v != 0 for v in prefix[start:fit_end]):
+                continue
+            den = [Fraction(1)] + [-bi for bi in solution[0]]
+            num = [
+                sum(den[j] * prefix[k - j] for j in range(min(k, t) + 1))
+                for k in range(start)
+            ]
+            try:
+                candidate = RationalGF(num, den)
+            except ValueError:
+                continue
+            if series_coeffs(candidate, n - 1) == prefix:
+                return candidate
+    raise ValueError(
+        f"no rational function of order <= {max_order} explains the prefix"
+    )
+
+
+@st.composite
+def recurrence_prefixes(draw):
+    """An integer linear recurrence of order <= 4 after a random preperiod."""
+    order = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=order, max_size=order))
+    values = draw(st.lists(st.integers(-3, 3), min_size=order, max_size=order))
+    preperiod = draw(st.lists(st.integers(-5, 5), max_size=4))
+    n = draw(st.integers(10, 40))
+    while len(preperiod) + len(values) < n:
+        values.append(sum(c * values[-1 - i] for i, c in enumerate(coeffs)))
+    return (preperiod + values)[:n]
+
+
+def _fit_outcome(fit, prefix, max_order, verify_window):
+    try:
+        return fit(prefix, max_order, verify_window)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+class TestFitAgainstLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            recurrence_prefixes(),
+            st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+        ),
+        st.integers(0, 6),
+        st.integers(0, 5),
+    )
+    @example([1, 1, 1], 1, 1)  # the one start for t = 1 is the last one
+    @example([3, 0, 1, 1, 2, 3, 5, 8, 13, 21], 4, 2)
+    def test_fit_matches_linear_scan(self, prefix, max_order, verify_window):
+        assert _fit_outcome(
+            fit_rational, prefix, max_order, verify_window
+        ) == _fit_outcome(_reference_fit, prefix, max_order, verify_window)

@@ -124,10 +124,25 @@ class TestBfs:
 
     def test_budget_bounds_held_layers_not_ball(self):
         # the ball to depth 60 holds 295,361 vertices, its last three shells
-        # 41,786
+        # 41,786; the layers span 121**3 = 1,771,561 bits, within both budgets
         pcu = parse_periodic_graph(PCU_TEXT)
-        seq = bfs_coordination(pcu, 1, 60, max_visited=50_000)
+        seq = bfs_coordination(pcu, 1, 60, max_visited=41_786)
         assert seq.values[1:] == tuple(4 * k * k + 2 for k in range(1, 61))
+        with pytest.raises(BudgetExceeded, match="held more than 41785 "):
+            bfs_coordination(pcu, 1, 60, max_visited=41_785)
+
+    def test_budget_bounds_layer_span(self):
+        # few vertices, but offsets of 50 make the layers span 3001**2 bits
+        g = parse_periodic_graph("dim 2\nvertices 1\nedge 1 1 50 0\nedge 1 1 0 50\n")
+        with pytest.raises(BudgetExceeded, match="would span more than"):
+            bfs_coordination(g, 1, 30, max_visited=100_000)
+        seq = bfs_coordination(g, 1, 30)
+        assert seq.values == (1,) + tuple(4 * k for k in range(1, 31))
+
+    def test_span_reaches_only_along_moving_axes(self):
+        # a chain declared in dim 6: a cube-shaped span would be 121**6 bits
+        g = parse_periodic_graph("dim 6\nvertices 1\nedge 1 1 1 0 0 0 0 0\n")
+        assert bfs_coordination(g, 1, 60).values == (1,) + (2,) * 60
 
     @pytest.mark.parametrize(
         "text,shell",
