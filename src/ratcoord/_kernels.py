@@ -2,15 +2,21 @@
 
 Everything is pure Python; there is no compiled backend.  Cover BFS is
 word-parallel: a layer is one integer per orbit, a bitset over the cells in
-reach, and an edge moves a whole layer with one shift.  The public modules
-call these kernels through this module's attributes (``_kernels.name``), so
-a wrapper installed here sees every call.  All indices here are 0-based (the
-public modules use 1-based orbits/states and convert).
+reach, and an edge moves a whole layer with one shift.  Box enumeration has
+two kernels: the points of a whole semilinear set come from a word-parallel
+sweep of the same kind (a level per value of a functional, a period moves a
+whole level with one shift), and points with their representation counts
+come from a search over partial sums (single candidate cones and
+certification).  The public modules call these kernels through this
+module's attributes (``_kernels.name``), so a wrapper installed here sees
+every call.  All indices here are 0-based (the public modules use 1-based
+orbits/states and convert).
 """
 
 from __future__ import annotations
 
-from operator import add, mul
+from itertools import accumulate, count, repeat
+from operator import add, floordiv, mod, mul
 
 from .errors import BudgetExceeded
 
@@ -267,3 +273,145 @@ def _collect(counts, finished, strip):
 def linear_points_in_box(parts, lo, hi, weights, max_nodes):
     """The points of :func:`linear_point_counts`, as a set."""
     return set(linear_point_counts(parts, lo, hi, weights, max_nodes))
+
+
+def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
+    """The points of :func:`linear_points_in_box`, by one bit-parallel sweep.
+
+    Takes the same ``(base, periods)`` parts, box and functional.  A level
+    is one integer per value of the functional, a bitset over cells: a
+    unit functional is the level axis itself and the other axes index the
+    cells; any other functional slices all axes by ``weights . x``; with no
+    functional there is one level.  Cells lie in the hull of the box and
+    the bases, widened on every cell axis by ``2 * d * M`` (M the largest
+    period coordinate): by the Steinitz lemma every box point of a part has
+    an ordering of its periods whose partial sums stay that close to the
+    segment from base to point, so no point is lost.  Each cell axis has
+    guard cells as wide as the largest period step along it, so a shift
+    that leaves the region lands on a guard cell (no carry reaches a valid
+    one) and one AND with the valid cells clears it.  Parts with the same
+    periods share one sweep, with each base set in its own level; going up
+    once, level k is its bases OR every period's shift of level
+    ``k - weights . p``, and periods the functional does not advance
+    (only without one) are closed to a fixpoint within the level.  The
+    union over parts, masked to the box, is decoded level by level.  A
+    base past the box where no period of its part turns back is dropped.
+    More than ``64 * max_nodes`` bits over the levels raise BudgetExceeded
+    before any level is built.
+    """
+    dim = len(lo)
+    if weights is None:
+        weights = (0,) * dim
+
+    def level(vector):
+        return sum(map(mul, weights, vector))
+
+    top = sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))
+    groups: dict = {}  # {set of nonzero periods: bases}
+    for base, periods in parts:
+        periods = frozenset(filter(any, map(tuple, periods)))
+        base = tuple(base)
+        if level(base) > top or any(
+            x > h and min([p[i] for p in periods], default=0) >= 0
+            or x < l and max([p[i] for p in periods], default=0) <= 0
+            for i, (x, l, h) in enumerate(zip(base, lo, hi))
+        ):
+            continue
+        groups.setdefault(periods, []).append(base)
+    if not groups:
+        return set()
+    bases = [base for group in groups.values() for base in group]
+    periods = set().union(*groups)
+
+    # a unit functional is the level axis; the other axes index the cells
+    unit = sorted(weights) == [0] * (dim - 1) + [1]
+    level_axis = weights.index(1) if unit else None
+    axes = [i for i in range(dim) if i != level_axis]
+    first = min(map(level, bases))
+    levels = top - first + 1
+    slack = 2 * dim * max([0] + [abs(x) for p in periods for x in p])
+    lows, widths, strides = [], [], []
+    for i in axes:
+        coordinates = [base[i] for base in bases]
+        lows.append(min(lo[i], *coordinates) - slack)
+        widths.append(max(hi[i], *coordinates) + slack + 1 - lows[-1])
+        strides.append(widths[-1] + max([0] + [abs(p[i]) for p in periods]))
+    place, places = 1, []
+    for stride in strides:
+        places.append(place)
+        place *= stride
+    if place * levels > 64 * max_nodes:
+        raise BudgetExceeded(
+            f"box levels would span more than {64 * max_nodes} bits"
+        )
+    valid = _cell_block([(0, width - 1) for width in widths], places)
+
+    def shift(vector):
+        return sum([vector[i] * pl for i, pl in zip(axes, places)])
+
+    origin = sum(map(mul, lows, places))  # the shift of the region's low corner
+
+    union = [0] * levels
+    for group, group_bases in groups.items():
+        layers = [0] * levels
+        for base in group_bases:
+            layers[level(base) - first] |= 1 << shift(base) - origin
+        climbs = [(level(p), shift(p)) for p in group if level(p)]
+        flats = [shift(p) for p in group if not level(p)]
+        for k, layer in enumerate(layers):
+            for rise, step in climbs:
+                if rise <= k and (below := layers[k - rise]):
+                    layer |= below << step if step >= 0 else below >> -step
+            layer &= valid
+            frontier = layer
+            while frontier and flats:
+                grown = 0
+                for step in flats:
+                    grown |= frontier << step if step >= 0 else frontier >> -step
+                frontier = grown & valid & ~layer
+                layer |= frontier
+            layers[k] = layer
+            union[k] |= layer
+        del layers
+
+    box = _cell_block(
+        [(lo[i] - low, hi[i] - low) for i, low in zip(axes, lows)], places
+    )
+    points = set()
+    for k, layer in enumerate(union):
+        if unit and first + k < lo[level_axis]:
+            continue
+        layer &= box
+        if not layer:
+            continue
+        # bit j is character j of the reversed binary string, so the runs of
+        # zeros between ones give the set bits; then one digit per cell axis
+        gaps = bin(layer)[:1:-1].split("1")
+        gaps.pop()
+        index = list(map(add, accumulate(map(len, gaps)), count()))
+        columns = []
+        for low, stride in zip(lows, strides):
+            columns.append(map(add, map(mod, index, repeat(stride)), repeat(low)))
+            index = list(map(floordiv, index, repeat(stride)))
+        if unit:
+            columns.insert(level_axis, repeat(first + k, len(gaps)))
+        points.update(zip(*columns) if columns else [()])
+    return points
+
+
+def _cell_block(ranges, places):
+    """Bitset of the cells whose digit on each axis lies in its (first, last)."""
+    block = 1
+    for (start, stop), place in zip(ranges, places):
+        copies, tiled, done = stop - start + 1, 0, 0
+        size = 1
+        while copies:
+            if copies & 1:
+                tiled |= block << done * place
+                done += size
+            copies >>= 1
+            if copies:
+                block |= block << size * place
+                size *= 2
+        block = tiled << start * place
+    return block

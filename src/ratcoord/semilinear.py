@@ -3,11 +3,11 @@
 A linear set is ``{base + n_1*p_1 + ... + n_k*p_k : n_j in N}``; a semilinear
 set is a finite union of linear sets.  A linear set is unambiguous when every
 member has exactly one coefficient tuple.  The operations here are all exact
-and bounded: counting, enumeration and certification all run one lattice-point
-kernel that returns the multiplicity of every point of a union of linear sets
-inside a box, and the disambiguation procedure is a restricted greedy search
-whose output is only ever returned together with a successful box
-certification.
+and bounded: the members of a whole set in a box come from a bit-parallel
+sweep, counting and certification from a kernel that returns the
+multiplicity of every point of a union of linear sets inside a box, and the
+disambiguation procedure is a restricted greedy search whose output is only
+ever returned together with a successful box certification.
 """
 
 from __future__ import annotations
@@ -40,20 +40,20 @@ class LinearSet:
     )
 
     def __post_init__(self):
-        base = tuple(int(x) for x in self.base)
+        base = tuple(map(int, self.base))
         object.__setattr__(self, "base", base)
-        kept: list[tuple[int, ...]] = []
+        kept: dict[tuple[int, ...], None] = {}  # insertion-ordered set
         stripped: list[tuple[int, ...]] = []
         for period in self.periods:
-            period = tuple(int(x) for x in period)
+            period = tuple(map(int, period))
             if len(period) != len(base):
                 raise ValueError(
                     f"period {period} has wrong dimension (base is {base})"
                 )
-            if all(x == 0 for x in period) or period in kept:
+            if not any(period) or period in kept:
                 stripped.append(period)
             else:
-                kept.append(period)
+                kept[period] = None
         object.__setattr__(self, "periods", tuple(kept))
         object.__setattr__(
             self, "stripped_periods", self.stripped_periods + tuple(stripped)
@@ -257,10 +257,11 @@ def _functional_groups(parts, dim):
 def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     """Members of the set inside the box, with set semantics across parts.
 
-    All parts are enumerated in one kernel call when their periods share a
-    positive functional (else one call per distinct per-part functional), so
-    partial sums whose remaining periods coincide are expanded once;
-    ``budget`` caps the nodes of each call.
+    All parts are swept in one kernel call when their periods share a
+    positive functional (else one call per distinct per-part functional);
+    the sweep takes one level per value of the functional and parts with
+    equal periods share it.  ``budget`` caps each call at ``64 * budget``
+    bits over its levels, checked before any level is built.
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     _check_dim(s, lo)
@@ -269,7 +270,7 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
     points = set()
     for w, group in _functional_groups(s.parts, len(lo)):
-        points |= _kernels.linear_points_in_box(group, lo, hi, w, budget)
+        points |= _kernels.linear_points_by_sweep(group, lo, hi, w, budget)
     return points
 
 

@@ -1,4 +1,4 @@
-"""The box kernel and the run kernel against brute-force enumerations.
+"""The box kernels and the run kernel against brute-force enumerations.
 
 Cover BFS is checked against a plain BFS in ``test_periodic_graph.py``."""
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ratcoord
 from ratcoord import _kernels
 from ratcoord.errors import BudgetExceeded
+from ratcoord.semilinear import LinearSet, _reachable
 
 
 @st.composite
@@ -122,6 +123,67 @@ def test_parts_with_different_periods_share_their_expansion():
     assert counts == {(x, y): 1 + (y == 1) for x in range(4) for y in range(4)}
     with pytest.raises(BudgetExceeded):
         _kernels.linear_point_counts(*args, 21)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_linear_sets())
+@example(  # bases past the box: one with a period that turns back, one without
+    ((((5, -3), ((1, 1), (-1, 1))), ((9, 9), ((1, 0),))), (0, 0), (4, 4), (0, 1))
+)
+@example(((((0, 0), ((2, -1), (-1, 2))),), (-3, -3), (3, 3), (1, 1)))  # non-unit
+@example(((((1, 1), ()), ((0, 0), ((1, 0),))), (0, 0), (3, 3), (1, 0)))  # no periods
+def test_sweep_matches_brute_force(case):
+    parts, lo, hi, weights = case
+    points = _kernels.linear_points_by_sweep(parts, lo, hi, weights, 10**6)
+    assert points == set(_brute_force_counts(parts, lo, hi, weights))
+
+
+@st.composite
+def linear_sets_without_functional(draw):
+    """(parts, lo, hi) whose periods may have a zero-sum combination.
+
+    One or two parts in one or two dimensions; a part may hold a period and
+    its negative, and bases may lie outside the box.
+    """
+    dim = draw(st.integers(1, 2))
+    vectors = st.tuples(*[st.integers(-2, 2)] * dim)
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        periods = draw(st.lists(vectors, max_size=3))
+        if periods and draw(st.booleans()):
+            periods.append(tuple(-x for x in periods[0]))
+        base = draw(st.tuples(*[st.integers(-5, 5)] * dim))
+        parts.append((base, tuple(periods)))
+    lo = draw(st.tuples(*[st.integers(-3, 1)] * dim))
+    hi = tuple(low + draw(st.integers(0, 3)) for low in lo)
+    return tuple(parts), lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_sets_without_functional())
+@example(((((0,), ((1,), (-1,))),), (-2,), (3,)))
+@example(((((0, 0), ((1, 1), (-1, 1), (0, -2))),), (0, 0), (0, 0)))
+@example(((((1, 3), ((1, 2), (0, -1))),), (-1, 0), (1, 3)))  # x + 1 runs off the region
+def test_sweep_without_functional_matches_reachability(case):
+    parts, lo, hi = case
+    box = itertools.product(*[range(low, high + 1) for low, high in zip(lo, hi)])
+    expected = {
+        point for point in box
+        if any(_reachable(LinearSet(base, periods), point, 10**6) for base, periods in parts)
+    }
+    assert _kernels.linear_points_by_sweep(parts, lo, hi, None, 10**6) == expected
+
+
+def test_sweep_budget_bounds_level_span():
+    # functional (0, 1): 16 levels (y = 0..15) over the one cell axis x, whose
+    # box range [-5, 5] widens by 2 * d * M = 4 on each side to 19 cells,
+    # plus one guard cell: 16 * 20 = 320 = 64 * 5 bits
+    args = ((((0, 0), ((1, 1), (-1, 1))),), (-5, 0), (5, 15), (0, 1))
+    assert _kernels.linear_points_by_sweep(*args, 5) == {
+        (x, y) for y in range(16) for x in range(-5, 6) if abs(x) <= y and (x + y) % 2 == 0
+    }
+    with pytest.raises(BudgetExceeded, match="more than 256 bits"):
+        _kernels.linear_points_by_sweep(*args, 4)
 
 
 @st.composite

@@ -4,10 +4,13 @@ import sys
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ratcoord import (
     DecompositionError,
     LinearSet,
+    PeriodicGraph,
     RationalGF,
     SemilinearSet,
     cross_verify,
@@ -15,13 +18,15 @@ from ratcoord import (
     nfa_from_json,
     nfa_to_json,
     build_coordination_nfa,
+    canonical_edge_orbit,
     parikh_image,
     parse_periodic_graph,
     pipeline_coordination_gf,
     series_coeffs,
     validate_decomposition,
 )
-from ratcoord.cli import main
+from ratcoord.cli import DISAMBIG_MARGIN, main
+from ratcoord.semilinear import _magnitude
 from .conftest import GRAPH_TEXTS, HONEYCOMB_TEXT, SQUARE_TEXT
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))
@@ -354,6 +359,50 @@ class TestCertificationBoxTooSmall:
         report = _small_box_report(text)
         assert report.symbolic_status == "ok"
         assert report.all_ok()
+
+
+@st.composite
+def small_quotient_graphs(draw):
+    """Quotient graphs of dim 1-2 with 1-3 orbits and 1-4 edge orbits.
+
+    Offsets lie in {-1, 0, 1}; a zero-offset self-edge or a repeated edge
+    orbit is dropped, and a graph left with no edge is rejected.
+    """
+    dim = draw(st.integers(1, 2))
+    orbits = draw(st.integers(1, 3))
+    edge = st.tuples(
+        st.integers(1, orbits),
+        st.integers(1, orbits),
+        st.tuples(*[st.integers(-1, 1)] * dim),
+    )
+    edges = {}
+    for source, target, offset in draw(st.lists(edge, min_size=1, max_size=4)):
+        if source != target or any(offset):
+            edges.setdefault(canonical_edge_orbit(source, target, offset), None)
+    assume(edges)
+    return PeriodicGraph(dim, orbits, tuple(edges))
+
+
+class TestDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(small_quotient_graphs())
+    @example(parse_periodic_graph(SMALL_BOX_GRAPHS[0]))
+    def test_symbolic_equals_bfs_or_fails_explicitly(self, g):
+        # compare to twice the largest certification radius, the radius of
+        # the doubled box the decomposition is checked on
+        radius = max(
+            _magnitude(parikh_image(build_coordination_nfa(g, 1, t)).parts)
+            + DISAMBIG_MARGIN
+            for t in range(1, g.num_orbits + 1)
+        )
+        report = cross_verify(g, 1, 2 * radius)
+        assert report.all_ok()
+        if report.symbolic_status == "ok":
+            pairs = {entry["pair"] for entry in report.agreement}
+            assert "bfs_vs_symbolic" in pairs
+        else:
+            assert report.symbolic_status in ("decomposition_failed", "budget_exceeded")
+            assert report.gf_symbolic is None
 
 
 class TestExitCodes:
