@@ -5,9 +5,8 @@ word-parallel: a layer is one integer per orbit, a bitset over the cells in
 reach, and an edge moves a whole layer with one shift.  Box enumeration has
 two kernels: the points of a whole semilinear set come from a word-parallel
 sweep of the same kind (a level per value of a functional, a period moves a
-whole level with one shift), and points with their representation counts
-come from a search over partial sums (single candidate cones and
-certification).  The public modules call these kernels through this
+whole level with one shift), and the points of one linear set with their
+representation counts come from a search over partial sums.  The public modules call these kernels through this
 module's attributes (``_kernels.name``), so a wrapper installed here sees
 every call.  All indices here are 0-based (the public modules use 1-based
 orbits/states and convert).
@@ -117,59 +116,35 @@ def accepting_run_profiles(
     return accepted
 
 
-def linear_point_counts(parts, lo, hi, weights, max_nodes):
-    """Points ``b + sum n_j * p_j`` in ``[lo, hi]`` over ``(b, (p_1, ...))`` parts.
+def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
+    """Points ``base + sum n_j * p_j`` in ``[lo, hi]`` with their multiplicities.
 
-    Returns ``{point: number of (part, coefficient tuple) pairs giving it}``;
-    a part listed twice counts twice.  The periods of all parts form one
-    sorted universe (a period repeated within a part is two entries).  A
-    state is a partial sum keyed by the mask of universe periods it still
-    has to add; period j expands the states whose mask holds j, one
-    multiplicity at a time, into the mask without j, and passes the others
-    through.  Equal partial sums under equal masks merge and add their
-    multiplicities, so parts whose remaining periods coincide share their
-    expansion and the counts stay exact.  A part whose periods are sorted
-    adds them in its own order, so one pass over such parts generates at
-    most the partial sums of one pass per part.
+    Returns ``{point: number of coefficient tuples giving it}``; a period
+    listed twice counts as two.  The periods are added in sorted order: a
+    state is a partial sum, and period j expands every state, one
+    multiplicity at a time.  Equal partial sums merge and add their
+    multiplicities, so the counts stay exact.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
     period (or None); it rides along as one more coordinate, bounded above
     by its largest value on the box, unless it is a unit vector: that
     coordinate already gives the same bounds.  Each multiplicity of period j is
-    bounded by every coordinate where the periods still to add after it
-    share a sign: the rest of the sum only moves that coordinate one way,
-    so ``partial + n * p_j`` must already be on the box's side of it.  That
+    bounded by every coordinate where the periods after it share a sign:
+    the rest of the sum only moves that coordinate one way, so
+    ``partial + n * p_j`` must already be on the box's side of it.  That
     gives an upper bound on n where p_j moves the coordinate towards that
     side's limit and a lower bound where it moves it away.  With no period
     left every coordinate is bounded both ways, so every point returned is
     in the box without a final filter.  A state with no upper bound falls
     back to the node budget, so the search always terminates (possibly with
-    BudgetExceeded).  Nodes count the parts plus every partial sum
+    BudgetExceeded).  Nodes count the base plus every partial sum
     generated, before equal ones merge.
     """
-    nodes = len(parts)
+    nodes = 1  # the base
     if nodes > max_nodes:
         raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-    # bases by their mask over (period, copy number) in order of first
-    # appearance; a period repeated within a part takes one entry per copy
-    index: dict = {}
-    grouped: dict = {}
-    for base, periods in parts:
-        mask = 0
-        for period in periods:
-            n = 0
-            while mask >> (j := index.setdefault((tuple(period), n), len(index))) & 1:
-                n += 1
-            mask |= 1 << j
-        grouped.setdefault(mask, []).append(base)
-    # the universe is sorted, so a part whose periods are sorted adds them in
-    # its own order; moved[j] is the sorted bit of first-appearance entry j
-    entries = sorted(index)
-    moved = [0] * len(entries)
-    for j, key in enumerate(entries):
-        moved[index[key]] = 1 << j
-    universe = [period for period, _ in entries]
-
+    periods = sorted(map(tuple, periods))
+    base = tuple(base)
     if weights is not None and sorted(weights) == [0] * (len(weights) - 1) + [1]:
         weights = None  # a unit functional repeats a coordinate and its bounds
     strip = weights is not None
@@ -177,108 +152,65 @@ def linear_point_counts(parts, lo, hi, weights, max_nodes):
         def weigh(vector):
             return (*vector, sum(map(mul, weights, vector)))
 
-        universe = [weigh(period) for period in universe]
+        periods = list(map(weigh, periods))
+        base = weigh(base)
         lo, hi = (
             (*lo, sum(w * (l if w > 0 else h) for w, l, h in zip(weights, lo, hi))),
             (*hi, sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))),
         )
-    # bit j of negative[i] (positive[i]): universe[j] is < 0 (> 0) in coordinate i
-    negative = [0] * len(lo)
-    positive = [0] * len(lo)
-    for j, period in enumerate(universe):
-        for i, x in enumerate(period):
-            if x < 0:
-                negative[i] |= 1 << j
-            elif x > 0:
-                positive[i] |= 1 << j
-
-    level: dict = {}  # {mask of periods still to add: {partial sum: multiplicity}}
-    for old, bases in grouped.items():
-        mask = 0
-        for bit in moved:
-            if old & 1:
-                mask |= bit
-            old >>= 1
-        states = level[mask] = {}
-        for base in map(weigh, bases) if strip else map(tuple, bases):
-            # a base past the box where every period moves it further away is out
-            if all(
-                (mask & negative[i] or x <= hi[i])
-                and (mask & positive[i] or x >= lo[i])
-                for i, x in enumerate(base)
-            ):
-                states[base] = states.get(base, 0) + 1
-
-    counts = None
-    for j, period in enumerate(universe):
-        if 0 in level:
-            counts = _collect(counts, level.pop(0), strip)
-        bit = 1 << j
-        for mask in [m for m in level if m & bit]:
-            rest = mask ^ bit
-            # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
-            upper, lower = [], []
-            for i, p in enumerate(period):
-                if p and not rest & negative[i]:
-                    (upper if p > 0 else lower).append((i, hi[i], -1, abs(p)))
-                if p and not rest & positive[i]:
-                    (upper if p < 0 else lower).append((i, -lo[i], 1, abs(p)))
-            states = level.pop(mask)
-            nxt = level.setdefault(rest, {})
-            for cur, mult in states.items():
-                start = 0
-                if lower:
-                    start = max(0, *[-((a + s * cur[i]) // q) for i, a, s, q in lower])
-                if upper:
-                    stop = min([(a + s * cur[i]) // q for i, a, s, q in upper])
-                else:  # no structural bound: the budget backstops
-                    stop = start + max_nodes
-                if start > stop:
-                    continue
-                nodes += stop - start + 1
-                if nodes > max_nodes:
-                    raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-                point = cur
-                if start:
-                    point = tuple([x + start * p for x, p in zip(cur, period)])
-                for _ in range(stop - start):
-                    nxt[point] = nxt.get(point, 0) + mult
-                    point = tuple(map(add, point, period))
+    states = {}  # {partial sum: multiplicity}
+    # a base past the box where every period moves it further away is out
+    if all(
+        (x <= h or any(p[i] < 0 for p in periods))
+        and (x >= l or any(p[i] > 0 for p in periods))
+        for i, (x, l, h) in enumerate(zip(base, lo, hi))
+    ):
+        states[base] = 1
+    for j, period in enumerate(periods):
+        rest = periods[j + 1 :]
+        # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
+        upper, lower = [], []
+        for i, p in enumerate(period):
+            if p and all(q[i] >= 0 for q in rest):
+                (upper if p > 0 else lower).append((i, hi[i], -1, abs(p)))
+            if p and all(q[i] <= 0 for q in rest):
+                (upper if p < 0 else lower).append((i, -lo[i], 1, abs(p)))
+        nxt = {}
+        for cur, mult in states.items():
+            start = 0
+            if lower:
+                start = max(0, *[-((a + s * cur[i]) // q) for i, a, s, q in lower])
+            if upper:
+                stop = min([(a + s * cur[i]) // q for i, a, s, q in upper])
+            else:  # no structural bound: the budget backstops
+                stop = start + max_nodes
+            if start > stop:
+                continue
+            nodes += stop - start + 1
+            if nodes > max_nodes:
+                raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
+            point = cur
+            if start:
+                point = tuple([x + start * p for x, p in zip(cur, period)])
+            for _ in range(stop - start):
                 nxt[point] = nxt.get(point, 0) + mult
-            del states
-    if 0 in level:
-        counts = _collect(counts, level.pop(0), strip)
-    return {} if counts is None else counts
+                point = tuple(map(add, point, period))
+            nxt[point] = nxt.get(point, 0) + mult
+        states = nxt
+    if strip:
+        return {point[:-1]: mult for point, mult in states.items()}
+    return states
 
 
-def _collect(counts, finished, strip):
-    """Merge finished partial sums into ``counts`` (None before the first).
-
-    The first finished dict becomes ``counts``; later ones are drained into
-    it, so no finished state is held twice.  ``strip`` drops the weight
-    coordinate.
-    """
-    if counts is None:
-        if strip:
-            return {point[:-1]: mult for point, mult in finished.items()}
-        return finished
-    while finished:
-        point, mult = finished.popitem()
-        if strip:
-            point = point[:-1]
-        counts[point] = counts.get(point, 0) + mult
-    return counts
-
-
-def linear_points_in_box(parts, lo, hi, weights, max_nodes):
+def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
     """The points of :func:`linear_point_counts`, as a set."""
-    return set(linear_point_counts(parts, lo, hi, weights, max_nodes))
+    return set(linear_point_counts(base, periods, lo, hi, weights, max_nodes))
 
 
 def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
-    """The points of :func:`linear_points_in_box`, by one bit-parallel sweep.
+    """Points of a union of ``(base, periods)`` parts in ``[lo, hi]``, as a set.
 
-    Takes the same ``(base, periods)`` parts, box and functional.  A level
+    ``weights`` is as in :func:`linear_point_counts`.  A level
     is one integer per value of the functional, a bitset over cells: a
     unit functional is the level axis itself and the other axes index the
     cells; any other functional slices all axes by ``weights . x``; with no

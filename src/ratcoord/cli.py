@@ -48,6 +48,8 @@ from .semilinear import (
 
 # certification box radius = largest image coordinate + DISAMBIG_MARGIN
 DISAMBIG_MARGIN = 8
+# node and bit budget of every box enumeration on the symbolic path
+SYMBOLIC_BUDGET = 5_000_000
 # trailing BFS terms a fitted recurrence must predict, not fit
 VERIFY_WINDOW = 5
 # cumulative counts compared against the run-enumeration oracle
@@ -86,9 +88,7 @@ class PipelineReport:
         }
 
 
-def symbolic_coordination_gf(
-    g: PeriodicGraph, origin_orbit: int, *, budget: int = 5_000_000
-):
+def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
     """Cumulative-count generating function via the automaton route.
 
     For every target orbit: build the automaton, compute its Parikh image,
@@ -105,11 +105,15 @@ def symbolic_coordination_gf(
         nfa = build_coordination_nfa(g, origin_orbit, target)
         image = parikh_image(nfa)
         radius = _magnitude(image.parts) + DISAMBIG_MARGIN
-        decomposition = disambiguate(image, box_radius=radius, budget=budget)
+        decomposition = disambiguate(
+            image, box_radius=radius, budget=SYMBOLIC_BUDGET
+        )
         wide_lo = (-2 * radius,) * (g.dim + 1)
         wide_hi = (2 * radius,) * (g.dim + 1)
-        wide_original = enumerate_in_box(image, wide_lo, wide_hi, budget)
-        wide_candidate = enumerate_in_box(decomposition, wide_lo, wide_hi, budget)
+        wide_original = enumerate_in_box(image, wide_lo, wide_hi, SYMBOLIC_BUDGET)
+        wide_candidate = enumerate_in_box(
+            decomposition, wide_lo, wide_hi, SYMBOLIC_BUDGET
+        )
         if wide_original != wide_candidate:
             raise DecompositionError(
                 f"decomposition for target orbit {target} fails on the "
@@ -139,7 +143,6 @@ def pipeline_coordination_gf(
     depth: int = 40,
     *,
     graph_id: str = "graph",
-    budget: int = 5_000_000,
 ) -> PipelineReport:
     """Run the requested pipeline paths and cross-compare their coefficients.
 
@@ -167,7 +170,7 @@ def pipeline_coordination_gf(
     if method in ("symbolic", "both"):
         try:
             gf_symbolic = cumulative_to_exact(
-                symbolic_coordination_gf(g, origin_orbit, budget=budget)
+                symbolic_coordination_gf(g, origin_orbit)
             )
         except DecompositionError:
             symbolic_status = "decomposition_failed"

@@ -5,7 +5,7 @@ set is a finite union of linear sets.  A linear set is unambiguous when every
 member has exactly one coefficient tuple.  The operations here are all exact
 and bounded: the members of a whole set in a box come from a bit-parallel
 sweep, counting and certification from a kernel that returns the
-multiplicity of every point of a union of linear sets inside a box, and the
+multiplicity of every point of one linear set inside a box, and the
 disambiguation procedure is a restricted greedy search whose output is only
 ever returned together with a successful box certification.
 """
@@ -231,47 +231,28 @@ def _part_counts(part: LinearSet, lo, hi, budget):
     """Box points of one part with their representation multiplicities."""
     w = _positive_functional(part.periods, part.dim)
     return _kernels.linear_point_counts(
-        ((part.base, part.periods),), tuple(lo), tuple(hi), w, budget
+        part.base, part.periods, tuple(lo), tuple(hi), w, budget
     )
-
-
-def _functional_groups(parts, dim):
-    """``(weights, parts)`` pairs that each admit the one positive functional.
-
-    All parts form one group when their periods share a positive functional;
-    otherwise each group holds the parts with the same per-part functional
-    (None for parts that have none).
-    """
-    periods = tuple(dict.fromkeys(p for part in parts for p in part.periods))
-    w = _positive_functional(periods, dim)
-    if w is not None or not periods:
-        return [(w, [(part.base, part.periods) for part in parts])]
-    groups: dict = {}
-    for part in parts:
-        groups.setdefault(_positive_functional(part.periods, dim), []).append(
-            (part.base, part.periods)
-        )
-    return list(groups.items())
 
 
 def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     """Members of the set inside the box, with set semantics across parts.
 
-    All parts are swept in one kernel call when their periods share a
-    positive functional (else one call per distinct per-part functional);
-    the sweep takes one level per value of the functional and parts with
-    equal periods share it.  ``budget`` caps each call at ``64 * budget``
-    bits over its levels, checked before any level is built.
+    All parts are swept in one kernel call, with one level per value of a
+    positive functional of their periods; when they have none, one level
+    holds everything and each period is closed to a fixpoint in it.  Parts
+    with equal periods share a sweep.  ``budget`` caps the call at
+    ``64 * budget`` bits over its levels, checked before any level is built.
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     _check_dim(s, lo)
     _check_dim(s, hi)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
-    points = set()
-    for w, group in _functional_groups(s.parts, len(lo)):
-        points |= _kernels.linear_points_by_sweep(group, lo, hi, w, budget)
-    return points
+    periods = tuple(dict.fromkeys(p for part in s.parts for p in part.periods))
+    w = _positive_functional(periods, len(lo))
+    parts = [(part.base, part.periods) for part in s.parts]
+    return _kernels.linear_points_by_sweep(parts, lo, hi, w, budget)
 
 
 def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
@@ -365,13 +346,14 @@ def validate_decomposition(
 def _certify(orig_points, parts, lo, hi, budget) -> bool:
     """validate_decomposition against already enumerated original points.
 
-    One counting pass over all parts: every box point has exactly one
-    representation summed over the parts iff the parts are unambiguous and
-    pairwise disjoint in the box, and the points must be the original's.
+    Every box point has exactly one representation summed over the parts
+    iff the parts are unambiguous and pairwise disjoint in the box, and the
+    points must be the original's.  Each part is counted in its own kernel
+    call, which ``budget`` caps.
     """
     counts: Counter = Counter()
-    for w, group in _functional_groups(parts, len(lo)):
-        counts.update(_kernels.linear_point_counts(group, lo, hi, w, budget))
+    for part in parts:
+        counts.update(_part_counts(part, lo, hi, budget))
     return counts.keys() == orig_points and all(c == 1 for c in counts.values())
 
 
@@ -394,7 +376,7 @@ def disambiguate(
     Restricted greedy search: candidate parts are cones ``L(u; P)`` where u
     is the least uncovered box point and P is a linearly independent subset
     of the periods appearing in the input.  Every accepted candidate must
-    stay inside the input's box points and avoid covered ones, so a subset
+    have only uncovered points of the input in the box, so a subset
     is tried only if each of its periods q has u + q outside the box or
     uncovered; the other subsets contain an inadmissible point.  The result
     is returned only when validate_decomposition certifies it; otherwise
@@ -442,7 +424,6 @@ def disambiguate(
         )
 
     uncovered = set(orig_points)
-    covered: set = set()
     chosen: list[LinearSet] = []
     while uncovered:
         if len(chosen) >= 1000:
@@ -459,11 +440,11 @@ def disambiguate(
                 continue
             try:
                 points = _kernels.linear_points_in_box(
-                    ((base, periods),), lo, hi, weights, budget
+                    base, periods, lo, hi, weights, budget
                 )
             except BudgetExceeded:
                 continue
-            if not points <= orig_points or points & covered:
+            if not points <= uncovered:
                 continue
             key = (-len(points), len(periods), periods)
             if best is None or key < best[0]:
@@ -474,7 +455,6 @@ def disambiguate(
             )
         _, periods, points = best
         chosen.append(LinearSet(base, periods))
-        covered |= points
         uncovered -= points
     if not _certify(orig_points, chosen, lo, hi, budget):
         raise DecompositionError(

@@ -22,7 +22,8 @@ def small_linear_sets(draw):
     One to three ``(base, periods)`` parts draw their periods from a shared
     pool, so their period sets overlap, differ or coincide; a part may
     repeat a period, parts may repeat, and periods may be dependent or
-    negative in some coordinates.
+    negative in some coordinates.  The sweep takes the parts as one union;
+    the counting kernel takes them one at a time.
     """
     dim = draw(st.integers(1, 3))
     vectors = st.tuples(*[st.integers(-2, 2)] * dim)
@@ -82,47 +83,37 @@ def _brute_force_counts(parts, lo, hi, weights):
 )
 def test_point_counts_match_brute_force(case):
     parts, lo, hi, weights = case
-    counts = _kernels.linear_point_counts(parts, lo, hi, weights, 10**6)
-    assert counts == _brute_force_counts(parts, lo, hi, weights)
-    assert _kernels.linear_points_in_box(parts, lo, hi, weights, 10**6) == set(counts)
-    if all(x >= 0 for _, periods in parts for p in periods for x in p):
-        # sign-monotone coordinates alone bound the search
-        assert _kernels.linear_point_counts(parts, lo, hi, None, 10**6) == counts
+    for base, periods in parts:
+        counts = _kernels.linear_point_counts(base, periods, lo, hi, weights, 10**6)
+        assert counts == _brute_force_counts(((base, periods),), lo, hi, weights)
+        points = _kernels.linear_points_in_box(base, periods, lo, hi, weights, 10**6)
+        assert points == set(counts)
+        if all(x >= 0 for p in periods for x in p):
+            # sign-monotone coordinates alone bound the search
+            assert _kernels.linear_point_counts(base, periods, lo, hi, None, 10**6) == counts
 
 
 @pytest.mark.parametrize(
     "bases,periods,expected",
     [
-        (((1, 1),), (), {(1, 1): 1}),
-        (((5, 5),), ((1, 0),), {}),  # past the box, moving away
-        (((1, 1), (1, 1), (4, 0)), ((0, 1),), {(1, 1): 2, (1, 2): 2, (1, 3): 2}),
+        (((1, 1),), (), ({(1, 1): 1},)),
+        (((5, 5),), ((1, 0),), ({},)),  # past the box, moving away
+        # the second base is past the box on an axis no period moves
+        (((1, 1), (4, 0)), ((0, 1),), ({(1, 1): 1, (1, 2): 1, (1, 3): 1}, {})),
     ],
 )
 def test_box_without_weights(bases, periods, expected):
-    parts = [(base, periods) for base in bases]
-    counts = _kernels.linear_point_counts(parts, (0, 0), (3, 3), None, 10**6)
-    assert counts == expected
+    for base, points in zip(bases, expected, strict=True):
+        counts = _kernels.linear_point_counts(base, periods, (0, 0), (3, 3), None, 10**6)
+        assert counts == points
 
 
 def test_node_budget_counts_bases_and_partial_sums():
-    # two parts (one base each), then 0..3 and 1..3 steps of the period:
-    # 2 + 4 + 3 nodes
-    args = ((((0,), ((1,),)), ((1,), ((1,),))), (0,), (3,), None)
-    assert len(_kernels.linear_point_counts(*args, 9)) == 4
+    # the base, then 0..3 steps of the period: 1 + 4 nodes
+    args = ((0,), ((1,),), (0,), (3,), None)
+    assert len(_kernels.linear_point_counts(*args, 5)) == 4
     with pytest.raises(BudgetExceeded):
-        _kernels.linear_point_counts(*args, 8)
-
-
-def test_parts_with_different_periods_share_their_expansion():
-    # the first part's partial sums (0, 0..3) still to add (1, 0) include the
-    # second part's base, which merges with them: 2 parts + 4 + 4 * 4 nodes,
-    # where one pass per part would generate (1 + 4 + 16) + (1 + 4)
-    parts = (((0, 0), ((0, 1), (1, 0))), ((0, 1), ((1, 0),)))
-    args = (parts, (0, 0), (3, 3), None)
-    counts = _kernels.linear_point_counts(*args, 22)
-    assert counts == {(x, y): 1 + (y == 1) for x in range(4) for y in range(4)}
-    with pytest.raises(BudgetExceeded):
-        _kernels.linear_point_counts(*args, 21)
+        _kernels.linear_point_counts(*args, 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,5 +237,5 @@ def test_backend_name_exposed():
 
 def test_high_dimension_box():
     base = (0,) * 13
-    pts = _kernels.linear_points_in_box(((base, ()),), base, (1,) * 13, None, 10**6)
+    pts = _kernels.linear_points_in_box(base, (), base, (1,) * 13, None, 10**6)
     assert pts == {base}

@@ -25,6 +25,7 @@ from ratcoord import (
     slice_counts,
     validate_decomposition,
 )
+from ratcoord import _kernels
 from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points
 
 A2 = AMBIGUOUS_EXAMPLE
@@ -160,7 +161,8 @@ class TestEnumerateInBox:
 
     def test_parts_without_common_functional(self):
         # each part has a positive functional, (1, 1) and (-1, -1), but no
-        # functional is positive on both parts' periods
+        # functional is positive on both parts' periods, so the union is
+        # swept with none: every period closed to a fixpoint in one level
         got = enumerate_in_box(OPPOSED, (-6, -6), (6, 6))
         assert got == set().union(
             *[
@@ -168,6 +170,9 @@ class TestEnumerateInBox:
                 for part in OPPOSED.parts
             ]
         )
+        # member counts representations per part, without the sweep
+        box = itertools.product(range(-6, 7), repeat=2)
+        assert got == {point for point in box if member(OPPOSED, point)}
         assert (0, 0) in got and (2, -1) in got and (-2, 1) in got
 
 
@@ -296,6 +301,20 @@ class TestDisambiguate:
     def test_empty(self):
         d = disambiguate(SemilinearSet(()))
         assert d.certified and d.parts == ()
+
+    def test_candidates_go_through_the_traced_kernel(self, monkeypatch):
+        # ratbench reads the greedy's candidate count from the calls of
+        # _kernels.linear_points_in_box; it would read 0 if they stopped
+        kernel = _kernels.linear_points_in_box
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "linear_points_in_box", counted)
+        assert disambiguate(SemilinearSet((A2,))).certified
+        assert len(calls) > 0
 
     def test_parts_certified_unambiguous(self):
         d = disambiguate(SemilinearSet((A2,)))
