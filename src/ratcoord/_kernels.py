@@ -1,15 +1,17 @@
 """Hot-loop kernels: cover BFS, run enumeration and box enumeration.
 
-Everything is pure Python; there is no compiled backend.  Cover BFS is
-word-parallel: a layer is one integer per orbit, a bitset over the cells in
-reach, and an edge moves a whole layer with one shift.  Box enumeration has
-two kernels: the points of a whole semilinear set come from a word-parallel
-sweep of the same kind (a level per value of a functional, a period moves a
-whole level with one shift), and the points of one linear set with their
-representation counts come from a search over partial sums.  The public modules call these kernels through this
-module's attributes (``_kernels.name``), so a wrapper installed here sees
-every call.  All indices here are 0-based (the public modules use 1-based
-orbits/states and convert).
+Everything is pure Python; there is no compiled backend.  Run enumeration
+keeps one partial run per (state, visited-state mask, Parikh vector) and
+returns (mask, vector) profiles.  Cover BFS is word-parallel: a layer is
+one integer per orbit, a bitset over the cells in reach, and an edge moves
+a whole layer with one shift.  Box enumeration has two kernels: the points
+of a whole semilinear set come from a word-parallel sweep of the same kind
+(a level per value of a functional, a period moves a whole level with one
+shift), and the points of one linear set with their representation counts
+come from a search over partial sums.  The public modules call these
+kernels through this module's attributes (``_kernels.name``), so a wrapper
+installed here sees every call.  All indices here are 0-based (the public
+modules use 1-based orbits/states and convert).
 """
 
 from __future__ import annotations
@@ -77,14 +79,17 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
 def accepting_run_profiles(
     num_states, sources, targets, outputs, initial, final, max_len, max_entries
 ):
-    """Profiles (visited-state mask, length, Parikh vector) of accepting runs.
+    """Profiles (visited-state mask, Parikh vector) of accepting runs.
 
     A run is a walk of at most ``max_len`` transitions from an initial to a
     final state; its profile records which states it visited, the start
-    state included (as a bitmask), its length, and the sum of the output
-    vectors.  Two partial runs that end in the same state with equal
-    profiles admit the same continuations, so deduplicating on (state,
-    profile) preserves the profile set exactly.
+    state included (as a bitmask), and the sum of the output vectors.  Two
+    partial runs that end in the same state with equal profiles admit the
+    same continuations up to the length bound of the shorter one.  The
+    frontier grows one transition per round, so the first visit to a
+    (state, profile) key is its shortest, and every continuation of a later
+    visit is one of the first: deduplicating on the key preserves the
+    profile set exactly.
     """
     out_by_state = [[] for _ in range(num_states)]
     for source, target, output in zip(sources, targets, outputs):
@@ -93,15 +98,13 @@ def accepting_run_profiles(
 
     zero = (0,) * (len(outputs[0]) if outputs else 0)
     frontier = [(s, 1 << s, zero) for s in sorted(set(initial))]
-    visited = {(s, mask, 0, zero) for s, mask, _ in frontier}
-    accepted = {(mask, 0, zero) for s, mask, _ in frontier if s in final_set}
-    for length in range(1, max_len + 1):
+    visited = set(frontier)
+    accepted = {(mask, zero) for s, mask, _ in frontier if s in final_set}
+    for _ in range(max_len):
         nxt = []
         for state, mask, parikh in frontier:
             for target, bit, output in out_by_state[state]:
-                mask2 = mask | bit
-                parikh2 = tuple(map(add, parikh, output))
-                key = (target, mask2, length, parikh2)
+                key = (target, mask | bit, tuple(map(add, parikh, output)))
                 if key in visited:
                     continue
                 if len(visited) >= max_entries:
@@ -109,9 +112,9 @@ def accepting_run_profiles(
                         f"run enumeration exceeded {max_entries} states"
                     )
                 visited.add(key)
-                nxt.append((target, mask2, parikh2))
+                nxt.append(key)
                 if target in final_set:
-                    accepted.add((mask2, length, parikh2))
+                    accepted.add(key[1:])
         frontier = nxt
     return accepted
 

@@ -23,7 +23,7 @@ from operator import add
 
 from . import _kernels
 from .errors import BudgetExceeded
-from .periodic_graph import PeriodicGraph
+from .periodic_graph import PeriodicGraph, _neighbor_specs
 from .semilinear import LinearSet, SemilinearSet, _positive_functional
 
 ParikhVector = tuple[int, ...]
@@ -73,22 +73,23 @@ def build_coordination_nfa(
 ) -> VectorNFA:
     """Automaton whose Parikh image is the set of (cell, length-bound) pairs.
 
-    One state per vertex orbit; each edge orbit contributes both traversal
-    directions with outputs (offset, 1) and (-offset, 1); every state gets a
-    waiting self-loop with output (0, ..., 0, 1).  A run from the origin to
+    One state per vertex orbit; each traversal direction of an edge orbit
+    (offset from the source to the target, as in the cover BFS) is a
+    transition with output (offset, 1); every state gets a waiting
+    self-loop with output (0, ..., 0, 1).  A run from the origin to
     the target orbit of length y then witnesses a path of length at most y
     ending in the cell given by the first d output coordinates.
     """
     for orbit in (origin_orbit, target_orbit):
         if not (1 <= orbit <= g.num_orbits):
             raise ValueError(f"orbit index {orbit} out of range")
-    transitions = []
-    for source, target, offset in g.edge_orbits:
-        transitions.append((source, offset + (1,), target))
-        transitions.append((target, tuple(-x for x in offset) + (1,), source))
+    transitions = [
+        (source + 1, offset + (1,), target + 1)
+        for source, spec in enumerate(_neighbor_specs(g))
+        for target, offset in spec
+    ]
     stay = (0,) * g.dim + (1,)
-    for state in range(1, g.num_orbits + 1):
-        transitions.append((state, stay, state))
+    transitions += [(state, stay, state) for state in range(1, g.num_orbits + 1)]
     return VectorNFA(
         out_dim=g.dim + 1,
         num_states=g.num_orbits,
@@ -117,43 +118,44 @@ def run_parikh_oracle(
 ) -> set[ParikhVector]:
     """Exact set of Parikh images of accepting runs of length <= max_len.
 
-    Exhaustive over runs, deduplicated on (state, visited states, length,
-    accumulated vector); runs collapsed this way admit identical
-    continuations, so the set of Parikh images is preserved exactly.  Raises
+    Exhaustive over runs, deduplicated on (state, visited states,
+    accumulated vector) at the shortest run reaching each key; any
+    continuation of a longer run collapsed this way is one of the shortest,
+    so the set of Parikh images is preserved exactly.  Raises
     BudgetExceeded when the search outgrows ``max_entries``.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return {parikh for _, _, parikh in _run_profiles(a, max_len, max_entries)}
+    return {parikh for _, parikh in _run_profiles(a, max_len, max_entries)}
 
 
 def _elementary_circuits(num_states, transitions, cap):
-    """Elementary circuits as tuples of transition indices.
+    """Elementary circuits as (mask of visited states, sum of outputs) pairs.
 
     Each circuit visits pairwise distinct states and is anchored at its
     smallest state, so every circuit appears exactly once; parallel
     transitions yield distinct circuits.
     """
+    zero = (0,) * len(transitions[0][1]) if transitions else ()
     by_source = defaultdict(list)
-    for idx, (source, _, target) in enumerate(transitions):
-        by_source[source].append((idx, target))
+    for source, output, target in transitions:
+        by_source[source].append((output, target))
     circuits = []
 
-    def dfs(anchor, state, on_path, path):
-        for idx, nxt in by_source[state]:
+    def dfs(anchor, state, mask, vec):
+        for output, nxt in by_source[state]:
+            step = tuple(map(add, vec, output))
             if nxt == anchor:
                 if len(circuits) >= cap:
                     raise BudgetExceeded(
                         f"more than {cap} elementary circuits"
                     )
-                circuits.append(tuple(path + [idx]))
-            elif nxt > anchor and nxt not in on_path:
-                on_path.add(nxt)
-                dfs(anchor, nxt, on_path, path + [idx])
-                on_path.remove(nxt)
+                circuits.append((mask, step))
+            elif nxt > anchor and not mask >> (nxt - 1) & 1:
+                dfs(anchor, nxt, mask | 1 << (nxt - 1), step)
 
     for anchor in range(1, num_states + 1):
-        dfs(anchor, anchor, {anchor}, [])
+        dfs(anchor, anchor, 1 << (anchor - 1), zero)
     return circuits
 
 
@@ -180,19 +182,9 @@ def parikh_image(a: VectorNFA) -> SemilinearSet:
     """
     n = a.num_states
     bases_by_states: dict[int, set] = defaultdict(set)
-    for mask, _, parikh in _run_profiles(a, n * (n - 1), PARIKH_MAX_ENTRIES):
+    for mask, parikh in _run_profiles(a, n * (n - 1), PARIKH_MAX_ENTRIES):
         bases_by_states[mask].add(parikh)
-
-    distinct = a.distinct_transitions
-    circuits = []  # (mask of the states the circuit visits, its vector)
-    for circuit in _elementary_circuits(n, distinct, PARIKH_CYCLE_CAP):
-        mask = 0
-        vec = (0,) * a.out_dim
-        for idx in circuit:
-            source, output, _ = distinct[idx]
-            mask |= 1 << (source - 1)
-            vec = tuple(map(add, vec, output))
-        circuits.append((mask, vec))
+    circuits = _elementary_circuits(n, a.distinct_transitions, PARIKH_CYCLE_CAP)
 
     parts = []
     zero = (0,) * a.out_dim

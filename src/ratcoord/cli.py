@@ -396,7 +396,3 @@ def main(argv=None) -> int:
     except (BudgetExceeded, DecompositionError) as exc:
         print(f"ratcoord: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    sys.exit(main())

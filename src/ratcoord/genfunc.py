@@ -171,11 +171,6 @@ class RationalGF:
             _pmul(self.den, other.den),
         )
 
-    def __mul__(self, other):
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return RationalGF(_pmul(self.num, other.num), _pmul(self.den, other.den))
-
     def __str__(self):
         if self.den == (1,):
             return f"({_poly_str(self.num)})"

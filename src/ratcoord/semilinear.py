@@ -243,6 +243,11 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     holds everything and each period is closed to a fixpoint in it.  Parts
     with equal periods share a sweep.  ``budget`` caps the call at
     ``64 * budget`` bits over its levels, checked before any level is built.
+    The swept region widens out to every base, so a base far from a small
+    box costs budget even when its part has no point in the box: base
+    (8, -7, 11, -2) with periods ((-2, -2, -3, 3), (2, 3, -3, 0)) in the box
+    (-5, -4, -1, 2)..(-4, 0, 2, 4) raises BudgetExceeded at budget 10**6,
+    where ``_kernels.linear_point_counts`` finds no point.
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     _check_dim(s, lo)
@@ -373,14 +378,16 @@ def disambiguate(
 ) -> SemilinearSet:
     """Equivalent-on-box union of pairwise disjoint unambiguous linear sets.
 
-    Restricted greedy search: candidate parts are cones ``L(u; P)`` where u
-    is the least uncovered box point and P is a linearly independent subset
-    of the periods appearing in the input.  Every accepted candidate must
-    have only uncovered points of the input in the box, so a subset
-    is tried only if each of its periods q has u + q outside the box or
-    uncovered; the other subsets contain an inadmissible point.  The result
-    is returned only when validate_decomposition certifies it; otherwise
-    DecompositionError is raised.
+    Restricted greedy search: the box points are sorted once by the
+    functional, then by point, and walked in that order.  Candidate parts
+    are cones ``L(u; P)`` where u is the next uncovered point and P is a
+    linearly independent subset of the periods appearing in the input.
+    Every accepted candidate must have only uncovered points of the input
+    in the box, so a subset is tried only if each of its periods q has
+    u + q outside the box or uncovered; the other subsets contain an
+    inadmissible point.  The result is returned only when
+    validate_decomposition certifies it; otherwise DecompositionError is
+    raised.
 
     The verification box is ``[-r, r]^dim`` with r defaulting to four times
     the largest coordinate magnitude among bases and periods; an explicit
@@ -423,18 +430,8 @@ def disambiguate(
             "restricted search"
         )
 
-    uncovered = set(orig_points)
-    chosen: list[LinearSet] = []
-    while uncovered:
-        if len(chosen) >= 1000:
-            raise DecompositionError("greedy cover exceeded 1000 parts")
-        base = min(uncovered, key=sort_key)
-        admissible = {
-            q for q in universe
-            if (step := tuple(map(add, base, q))) in uncovered
-            or max(map(abs, step)) > radius
-        }
-        best = None
+    def cones(base, admissible):
+        # the empty subset comes first and its cone {base} always qualifies
         for periods in subsets:
             if not admissible.issuperset(periods):
                 continue
@@ -444,16 +441,22 @@ def disambiguate(
                 )
             except BudgetExceeded:
                 continue
-            if not points <= uncovered:
-                continue
-            key = (-len(points), len(periods), periods)
-            if best is None or key < best[0]:
-                best = (key, periods, points)
-        if best is None:
-            raise DecompositionError(
-                f"no admissible candidate part covers {base}"
-            )
-        _, periods, points = best
+            if points <= uncovered:
+                yield (-len(points), len(periods), periods), points
+
+    uncovered = set(orig_points)
+    chosen: list[LinearSet] = []
+    for base in sorted(orig_points, key=sort_key):
+        if base not in uncovered:
+            continue
+        if len(chosen) >= 1000:
+            raise DecompositionError("greedy cover exceeded 1000 parts")
+        admissible = {
+            q for q in universe
+            if (step := tuple(map(add, base, q))) in uncovered
+            or max(map(abs, step)) > radius
+        }
+        (_, _, periods), points = min(cones(base, admissible))
         chosen.append(LinearSet(base, periods))
         uncovered -= points
     if not _certify(orig_points, chosen, lo, hi, budget):

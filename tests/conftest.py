@@ -1,7 +1,11 @@
 """Shared corpus: graphs, automata, generating functions."""
 
+import os
+from pathlib import Path
+
 import pytest
 
+import ratcoord
 from ratcoord import (
     LinearSet,
     RationalGF,
@@ -41,6 +45,14 @@ GRAPH_TEXTS = {
     "ladder": LADDER_TEXT,
     "three_ring": THREE_RING_TEXT,
 }
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment in which ``python -m ratcoord`` imports the package under test."""
+    src = str(Path(ratcoord.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

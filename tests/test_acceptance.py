@@ -169,7 +169,7 @@ def test_criterion_7_end_to_end_differences_law():
     _report(7, "end-to-end differences law (40 coefficients)", ok)
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, cli_env):
     import subprocess
     import sys
 
@@ -178,7 +178,7 @@ def test_criterion_8_determinism(tmp_path):
     cmd = [
         sys.executable,
         "-m",
-        "ratcoord.cli",
+        "ratcoord",
         "verify",
         str(path),
         "--origin",
@@ -187,7 +187,10 @@ def test_criterion_8_determinism(tmp_path):
         "25",
         "--json",
     ]
-    runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
+    runs = [
+        subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+        for _ in range(2)
+    ]
     ok = runs[0].stdout == runs[1].stdout and bool(runs[0].stdout.strip())
     ok = ok and runs[0].returncode == 0
     _report(8, "byte-identical verify --json", ok)

@@ -99,6 +99,13 @@ class TestRunParikhOracle:
         with pytest.raises(BudgetExceeded):
             run_parikh_oracle(a, 12, max_entries=100)
 
+    def test_runs_of_different_lengths_share_a_state(self):
+        # 41 vectors, each first reached by its shortest run; keyed by
+        # length as well, the search would hold 861 states
+        loops = ((1, (0,), 1), (1, (1,), 1))
+        a = VectorNFA(1, 1, frozenset({1}), frozenset({1}), loops)
+        assert run_parikh_oracle(a, 40, max_entries=60) == {(k,) for k in range(41)}
+
 
 class TestParikhImage:
     def test_self_loop_equals_linear_set(self):

@@ -221,7 +221,7 @@ def _brute_force_profiles(
                     vector = tuple(a + b for a, b in zip(vector, outputs[t]))
                 else:
                     if state in final:
-                        profiles.add((mask, length, vector))
+                        profiles.add((mask, vector))
     return profiles
 
 

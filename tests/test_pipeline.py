@@ -190,7 +190,7 @@ class TestCli:
         assert code == 4
         assert "fit_status: no_fit" in capsys.readouterr().out
 
-    def test_module_entry_point_runs_warning_free(self, graph_files):
+    def test_module_entry_point_runs_warning_free(self, graph_files, cli_env):
         cmd = [
             sys.executable,
             "-W",
@@ -204,7 +204,7 @@ class TestCli:
             "--depth",
             "5",
         ]
-        run = subprocess.run(cmd, capture_output=True, text=True)
+        run = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "1 4 8 12 16 20\n"
         assert run.stderr == ""
@@ -252,7 +252,7 @@ class TestCli:
         assert code == 2
         assert "ratcoord: error:" in capsys.readouterr().err
 
-    def test_determinism_byte_identical(self, graph_files):
+    def test_determinism_byte_identical(self, graph_files, cli_env):
         cmd = [
             sys.executable,
             "-m",
@@ -265,8 +265,8 @@ class TestCli:
             "20",
             "--json",
         ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
 

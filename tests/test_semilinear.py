@@ -175,6 +175,19 @@ class TestEnumerateInBox:
         assert got == {point for point in box if member(OPPOSED, point)}
         assert (0, 0) in got and (2, -1) in got and (-2, 1) in got
 
+    def test_distant_base_costs_the_sweep_its_region(self):
+        # the sweep's region reaches out to the base, so a far base costs
+        # budget that the partial-sum kernel, which finds no box point, does
+        # not need; a larger budget gives the same (empty) set
+        l = LinearSet((8, -7, 11, -2), ((-2, -2, -3, 3), (2, 3, -3, 0)))
+        s = SemilinearSet((l,))
+        lo, hi = (-5, -4, -1, 2), (-4, 0, 2, 4)
+        w = (0, 0, -1, 0)  # the positive functional found for the periods
+        counts = _kernels.linear_point_counts(l.base, l.periods, lo, hi, w, 10**6)
+        with pytest.raises(BudgetExceeded):
+            enumerate_in_box(s, lo, hi, 10**6)
+        assert enumerate_in_box(s, lo, hi, 10**7) == counts.keys()
+
 
 class TestSliceCounts:
     def test_one_dimensional(self):
