@@ -4,11 +4,13 @@ Everything is pure Python; there is no compiled backend.  Run enumeration
 keeps one partial run per (state, visited-state mask, Parikh vector) and
 returns (mask, vector) profiles.  Cover BFS is word-parallel: a layer is
 one integer per orbit, a bitset over the cells in reach, and an edge moves
-a whole layer with one shift.  Box enumeration has two kernels: the points
-of a whole semilinear set come from a word-parallel sweep of the same kind
-(a level per value of a functional, a period moves a whole level with one
-shift), and the points of one linear set with their representation counts
-come from a search over partial sums.  The public modules call these
+a whole layer with one shift.  Box enumeration sweeps a :class:`BoxGrid`
+of the same kind (a level per value of a functional, a period moves a
+whole level with one shift): the points of a whole semilinear set come
+from one sweep, and the greedy search of ``disambiguate`` sweeps each
+candidate cone in one grid per call and never decodes it.  The points of
+one linear set with their representation counts come from a search over
+partial sums.  The public modules call these
 kernels through this module's attributes (``_kernels.name``), so a wrapper
 installed here sees every call.  All indices here are 0-based (the public
 modules use 1-based orbits/states and convert).
@@ -205,48 +207,36 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     return states
 
 
-def linear_points_in_box(base, periods, lo, hi, weights, max_nodes):
-    """The points of :func:`linear_point_counts`, as a set."""
-    return set(linear_point_counts(base, periods, lo, hi, weights, max_nodes))
+def linear_points_in_box(base, periods, grid):
+    """Box points of ``base + N periods``, one bitset per level of ``grid``.
+
+    ``base`` is a point of the grid's region and ``periods`` are among the
+    grid's periods.  The cone is swept up from the base's level and masked
+    to the box; nothing is decoded.
+    """
+    k, bit = grid.index(base)
+    layers = [0] * grid.levels
+    layers[k] = 1 << bit
+    return grid.in_box(grid.sweep(layers, periods, k))
 
 
 def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
     """Points of a union of ``(base, periods)`` parts in ``[lo, hi]``, as a set.
 
-    ``weights`` is as in :func:`linear_point_counts`.  A level
-    is one integer per value of the functional, a bitset over cells: a
-    unit functional is the level axis itself and the other axes index the
-    cells; any other functional slices all axes by ``weights . x``; with no
-    functional there is one level.  Cells lie in the hull of the box and
-    the bases, widened on every cell axis by ``2 * d * M`` (M the largest
-    period coordinate): by the Steinitz lemma every box point of a part has
-    an ordering of its periods whose partial sums stay that close to the
-    segment from base to point, so no point is lost.  Each cell axis has
-    guard cells as wide as the largest period step along it, so a shift
-    that leaves the region lands on a guard cell (no carry reaches a valid
-    one) and one AND with the valid cells clears it.  Parts with the same
-    periods share one sweep, with each base set in its own level; going up
-    once, level k is its bases OR every period's shift of level
-    ``k - weights . p``, and periods the functional does not advance
-    (only without one) are closed to a fixpoint within the level.  The
-    union over parts, masked to the box, is decoded level by level.  A
-    base past the box where no period of its part turns back is dropped.
-    More than ``64 * max_nodes`` bits over the levels raise BudgetExceeded
-    before any level is built.
+    ``weights`` is as in :func:`linear_point_counts`.  The parts are swept
+    in one :class:`BoxGrid` built from their bases and periods.  Parts with
+    the same periods share one sweep, with each base set in its own level;
+    the union over parts, masked to the box, is decoded level by level.  A
+    base past the box where no period of its part turns back is dropped
+    before the grid is built.
     """
-    dim = len(lo)
-    if weights is None:
-        weights = (0,) * dim
-
-    def level(vector):
-        return sum(map(mul, weights, vector))
-
-    top = sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))
+    level_weights = weights if weights is not None else (0,) * len(lo)
+    top = _box_top(level_weights, lo, hi)
     groups: dict = {}  # {set of nonzero periods: bases}
     for base, periods in parts:
         periods = frozenset(filter(any, map(tuple, periods)))
         base = tuple(base)
-        if level(base) > top or any(
+        if sum(map(mul, level_weights, base)) > top or any(
             x > h and min([p[i] for p in periods], default=0) >= 0
             or x < l and max([p[i] for p in periods], default=0) <= 0
             for i, (x, l, h) in enumerate(zip(base, lo, hi))
@@ -256,44 +246,107 @@ def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
     if not groups:
         return set()
     bases = [base for group in groups.values() for base in group]
-    periods = set().union(*groups)
-
-    # a unit functional is the level axis; the other axes index the cells
-    unit = sorted(weights) == [0] * (dim - 1) + [1]
-    level_axis = weights.index(1) if unit else None
-    axes = [i for i in range(dim) if i != level_axis]
-    first = min(map(level, bases))
-    levels = top - first + 1
-    slack = 2 * dim * max([0] + [abs(x) for p in periods for x in p])
-    lows, widths, strides = [], [], []
-    for i in axes:
-        coordinates = [base[i] for base in bases]
-        lows.append(min(lo[i], *coordinates) - slack)
-        widths.append(max(hi[i], *coordinates) + slack + 1 - lows[-1])
-        strides.append(widths[-1] + max([0] + [abs(p[i]) for p in periods]))
-    place, places = 1, []
-    for stride in strides:
-        places.append(place)
-        place *= stride
-    if place * levels > 64 * max_nodes:
-        raise BudgetExceeded(
-            f"box levels would span more than {64 * max_nodes} bits"
-        )
-    valid = _cell_block([(0, width - 1) for width in widths], places)
-
-    def shift(vector):
-        return sum([vector[i] * pl for i, pl in zip(axes, places)])
-
-    origin = sum(map(mul, lows, places))  # the shift of the region's low corner
-
-    union = [0] * levels
+    grid = BoxGrid(bases, set().union(*groups), lo, hi, weights, max_nodes)
+    union = [0] * grid.levels
     for group, group_bases in groups.items():
-        layers = [0] * levels
-        for base in group_bases:
-            layers[level(base) - first] |= 1 << shift(base) - origin
-        climbs = [(level(p), shift(p)) for p in group if level(p)]
-        flats = [shift(p) for p in group if not level(p)]
-        for k, layer in enumerate(layers):
+        for k, layer in enumerate(grid.sweep(grid.encode(group_bases), group)):
+            union[k] |= layer
+    return grid.decode(union)
+
+
+class BoxGrid:
+    """The levels and cells of a bit-parallel sweep over a box.
+
+    A level is one integer per value of the functional ``weights`` (as in
+    :func:`linear_point_counts`), a bitset over cells: a unit functional is
+    the level axis itself and the other axes index the cells; any other
+    functional slices all axes by ``weights . x``; with no functional there
+    is one level.  The levels run from the lowest base to the box's top.
+    Cells lie in the hull of the box and the bases, widened on each cell
+    axis by ``2 * m * M``, m the number of cell axes and M the largest
+    absolute cell-axis coordinate of a period.  By the Steinitz lemma
+    (Grinberg and Sevastyanov's bound of m in m dimensions), every box
+    point of a cone has an ordering of its periods whose partial sums, cut
+    to the cell axes, stay that close to the segment from base to point.
+    The level coordinate needs no widening: every period raises the level,
+    so the partial sums stay in the level range.  With a unit functional
+    that leaves d - 1 cell axes; otherwise all d axes are cell axes.  Each
+    cell axis has guard cells as wide as the largest period step along it,
+    so a shift that leaves the region lands on a guard cell (no carry
+    reaches a valid one) and one AND with ``valid`` clears it; ``box``
+    holds the cells of the box.  More than ``64 * max_nodes`` bits over
+    the levels raise BudgetExceeded before any level is built.
+    """
+
+    def __init__(self, bases, periods, lo, hi, weights, max_nodes):
+        dim = len(lo)
+        self.weights = weights = weights if weights is not None else (0,) * dim
+        unit = sorted(weights) == [0] * (dim - 1) + [1]
+        self.level_axis = weights.index(1) if unit else None
+        self.axes = axes = [i for i in range(dim) if i != self.level_axis]
+        self.first = min(map(self.level, bases))
+        self.levels = _box_top(weights, lo, hi) - self.first + 1
+        # with a unit functional the levels under the box hold no box point
+        self.below = max(0, lo[self.level_axis] - self.first) if unit else 0
+        reach = max([0] + [abs(p[i]) for p in periods for i in axes])
+        slack = 2 * len(axes) * reach
+        self.lows, self.strides, widths = [], [], []
+        for i in axes:
+            coordinates = [base[i] for base in bases]
+            self.lows.append(min(lo[i], *coordinates) - slack)
+            widths.append(max(hi[i], *coordinates) + slack + 1 - self.lows[-1])
+            self.strides.append(widths[-1] + max([0] + [abs(p[i]) for p in periods]))
+        place, self.places = 1, []
+        for stride in self.strides:
+            self.places.append(place)
+            place *= stride
+        if place * self.levels > 64 * max_nodes:
+            raise BudgetExceeded(
+                f"box levels would span more than {64 * max_nodes} bits"
+            )
+        self.cells = place
+        self.moves = {p: (self.level(p), self.shift(p)) for p in periods}
+        self.origin = sum(map(mul, self.lows, self.places))  # the low corner
+        self.valid = _cell_block([(0, width - 1) for width in widths], self.places)
+        self.box = _cell_block(
+            [(lo[i] - low, hi[i] - low) for i, low in zip(axes, self.lows)],
+            self.places,
+        )
+
+    def level(self, vector):
+        return sum(map(mul, self.weights, vector))
+
+    def shift(self, vector):
+        """The bit distance a vector moves a cell."""
+        return sum([vector[i] * place for i, place in zip(self.axes, self.places)])
+
+    def index(self, point):
+        """(level index, bit) of a point of the region."""
+        return self.level(point) - self.first, self.shift(point) - self.origin
+
+    def encode(self, points):
+        """Points of the region as one bitset per level."""
+        rows = [bytearray((self.cells + 7) // 8) for _ in range(self.levels)]
+        for point in points:
+            k, bit = self.index(point)
+            rows[k][bit >> 3] |= 1 << (bit & 7)
+        return [int.from_bytes(row, "little") for row in rows]
+
+    def sweep(self, layers, periods, start=0):
+        """Close ``layers`` under adding the periods, in place, from level ``start``.
+
+        Going up once, level k gains every period's shift of level
+        ``k - weights . p`` and loses the cells off the region; periods the
+        functional does not advance (only without one) are closed to a
+        fixpoint within the level.  Levels under ``start`` must be empty, and
+        the periods must be among the grid's.
+        """
+        moves = [self.moves[p] for p in periods]
+        climbs = [(rise, step) for rise, step in moves if rise]
+        flats = [step for rise, step in moves if not rise]
+        valid = self.valid
+        for k in range(start, self.levels):
+            layer = layers[k]
             for rise, step in climbs:
                 if rise <= k and (below := layers[k - rise]):
                     layer |= below << step if step >= 0 else below >> -step
@@ -306,32 +359,38 @@ def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
                 frontier = grown & valid & ~layer
                 layer |= frontier
             layers[k] = layer
-            union[k] |= layer
-        del layers
+        return layers
 
-    box = _cell_block(
-        [(lo[i] - low, hi[i] - low) for i, low in zip(axes, lows)], places
-    )
-    points = set()
-    for k, layer in enumerate(union):
-        if unit and first + k < lo[level_axis]:
-            continue
-        layer &= box
-        if not layer:
-            continue
-        # bit j is character j of the reversed binary string, so the runs of
-        # zeros between ones give the set bits; then one digit per cell axis
-        gaps = bin(layer)[:1:-1].split("1")
-        gaps.pop()
-        index = list(map(add, accumulate(map(len, gaps)), count()))
-        columns = []
-        for low, stride in zip(lows, strides):
-            columns.append(map(add, map(mod, index, repeat(stride)), repeat(low)))
-            index = list(map(floordiv, index, repeat(stride)))
-        if unit:
-            columns.insert(level_axis, repeat(first + k, len(gaps)))
-        points.update(zip(*columns) if columns else [()])
-    return points
+    def in_box(self, layers):
+        """The levels masked to the box."""
+        below, box = self.below, self.box
+        return [0] * below + [layer & box for layer in layers[below:]]
+
+    def decode(self, layers):
+        """The box points of per-level bitsets, as a set of tuples."""
+        points = set()
+        for k, layer in enumerate(self.in_box(layers)):
+            if not layer:
+                continue
+            # bit j is character j of the reversed binary string, so the runs
+            # of zeros between ones give the set bits; then one digit per
+            # cell axis
+            gaps = bin(layer)[:1:-1].split("1")
+            gaps.pop()
+            index = list(map(add, accumulate(map(len, gaps)), count()))
+            columns = []
+            for low, stride in zip(self.lows, self.strides):
+                columns.append(map(add, map(mod, index, repeat(stride)), repeat(low)))
+                index = list(map(floordiv, index, repeat(stride)))
+            if self.level_axis is not None:
+                columns.insert(self.level_axis, repeat(self.first + k, len(gaps)))
+            points.update(zip(*columns) if columns else [()])
+        return points
+
+
+def _box_top(weights, lo, hi):
+    """The largest value of ``weights . x`` over the box."""
+    return sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))
 
 
 def _cell_block(ranges, places):

@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add
+from operator import add, and_
 
 from . import _kernels
 from ._exactlinalg import rank, solve_columns
@@ -243,8 +243,11 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     holds everything and each period is closed to a fixpoint in it.  Parts
     with equal periods share a sweep.  ``budget`` caps the call at
     ``64 * budget`` bits over its levels, checked before any level is built.
-    The swept region widens out to every base, so a base far from a small
-    box costs budget even when its part has no point in the box: base
+    The swept region is the hull of the box and the bases, widened by the
+    Steinitz bound on the cell axes only (a unit functional's level axis
+    needs none, since every period raises it; see ``_kernels.BoxGrid``).
+    So a base far from a small box costs budget even when its part has no
+    point in the box: base
     (8, -7, 11, -2) with periods ((-2, -2, -3, 3), (2, 3, -3, 0)) in the box
     (-5, -4, -1, 2)..(-4, 0, 2, 4) raises BudgetExceeded at budget 10**6,
     where ``_kernels.linear_point_counts`` finds no point.
@@ -385,13 +388,21 @@ def disambiguate(
     Every accepted candidate must have only uncovered points of the input
     in the box, so a subset is tried only if each of its periods q has
     u + q outside the box or uncovered; the other subsets contain an
-    inadmissible point.  The result is returned only when
+    inadmissible point.  The admissible cone with the most box points wins,
+    then the one with fewer periods, then the smaller periods.  The search
+    runs on one ``_kernels.BoxGrid`` of the box and the periods: the
+    uncovered points are one bitset per level, each candidate cone is swept
+    up from u in that grid, and it is admissible iff no level has a cone
+    bit that is not uncovered.  The result is returned only when
     validate_decomposition certifies it; otherwise DecompositionError is
     raised.
 
     The verification box is ``[-r, r]^dim`` with r defaulting to four times
     the largest coordinate magnitude among bases and periods; an explicit
     ``box_radius`` is clamped up so the box always contains every base.
+    ``budget`` caps the sweep of the input, each certifying count, and the
+    grid at ``64 * budget`` bits; the grid is checked once, before the
+    greedy search starts, so no candidate is skipped for its size.
     """
     parts = tuple(dict.fromkeys(s.parts))
     if not parts:
@@ -430,35 +441,42 @@ def disambiguate(
             "restricted search"
         )
 
+    # one grid for the box and the universe; the bases are box points
+    grid = _kernels.BoxGrid(
+        [part.base for part in parts], universe, lo, hi, weights, budget
+    )
+    uncovered = grid.encode(orig_points)
+
+    def is_uncovered(point):
+        k, bit = grid.index(point)
+        return uncovered[k] >> bit & 1
+
     def cones(base, admissible):
         # the empty subset comes first and its cone {base} always qualifies
         for periods in subsets:
             if not admissible.issuperset(periods):
                 continue
-            try:
-                points = _kernels.linear_points_in_box(
-                    base, periods, lo, hi, weights, budget
-                )
-            except BudgetExceeded:
-                continue
-            if points <= uncovered:
-                yield (-len(points), len(periods), periods), points
+            cone = _kernels.linear_points_in_box(base, periods, grid)
+            if list(map(and_, cone, uncovered)) == cone:
+                count = sum(map(int.bit_count, cone))
+                yield (-count, len(periods), periods), cone
 
-    uncovered = set(orig_points)
     chosen: list[LinearSet] = []
     for base in sorted(orig_points, key=sort_key):
-        if base not in uncovered:
+        if not is_uncovered(base):
             continue
         if len(chosen) >= 1000:
             raise DecompositionError("greedy cover exceeded 1000 parts")
+        # only a step inside the box is looked up: it is a point of the grid,
+        # whose levels run from the lowest base to the box's top
         admissible = {
             q for q in universe
-            if (step := tuple(map(add, base, q))) in uncovered
-            or max(map(abs, step)) > radius
+            if max(map(abs, step := tuple(map(add, base, q)))) > radius
+            or is_uncovered(step)
         }
-        (_, _, periods), points = min(cones(base, admissible))
+        (_, _, periods), cone = min(cones(base, admissible))
         chosen.append(LinearSet(base, periods))
-        uncovered -= points
+        uncovered = [u & ~c for u, c in zip(uncovered, cone)]
     if not _certify(orig_points, chosen, lo, hi, budget):
         raise DecompositionError(
             "greedy cover failed box certification"

@@ -86,11 +86,29 @@ def test_point_counts_match_brute_force(case):
     for base, periods in parts:
         counts = _kernels.linear_point_counts(base, periods, lo, hi, weights, 10**6)
         assert counts == _brute_force_counts(((base, periods),), lo, hi, weights)
-        points = _kernels.linear_points_in_box(base, periods, lo, hi, weights, 10**6)
-        assert points == set(counts)
+        assert _cone_points(base, periods, lo, hi, weights) == set(counts)
         if all(x >= 0 for p in periods for x in p):
             # sign-monotone coordinates alone bound the search
             assert _kernels.linear_point_counts(base, periods, lo, hi, None, 10**6) == counts
+
+
+def _cone_points(base, periods, lo, hi, weights):
+    """The box points of one cone from the greedy's kernel, decoded."""
+    grid = _kernels.BoxGrid([base], periods, lo, hi, weights, 10**6)
+    if grid.levels < 1:  # the base lies above the box's top level
+        return set()
+    return grid.decode(_kernels.linear_points_in_box(base, periods, grid))
+
+
+def test_zigzag_needs_the_widening():
+    # every path from the base to a point on x = 0 passes x = 3 or x = -3,
+    # inside the cell axis widened by 2 * (d - 1) * M_cell = 6 only
+    part = ((0, 0), ((3, 1), (-3, 1)))
+    args = (0, 0), (0, 6), (0, 1)
+    expected = {(0, 0), (0, 2), (0, 4), (0, 6)}
+    assert _cone_points(*part, *args) == expected
+    assert _kernels.linear_points_by_sweep((part,), *args, 10**6) == expected
+    assert set(_kernels.linear_point_counts(*part, *args, 10**6)) == expected
 
 
 @pytest.mark.parametrize(
@@ -166,15 +184,15 @@ def test_sweep_without_functional_matches_reachability(case):
 
 
 def test_sweep_budget_bounds_level_span():
-    # functional (0, 1): 16 levels (y = 0..15) over the one cell axis x, whose
-    # box range [-5, 5] widens by 2 * d * M = 4 on each side to 19 cells,
-    # plus one guard cell: 16 * 20 = 320 = 64 * 5 bits
+    # unit functional (0, 1): 16 levels (y = 0..15) over the one cell axis x,
+    # whose box range [-5, 5] widens by 2 * (d - 1) * M_cell = 2 on each side
+    # to 15 cells, plus one guard cell: 16 * 16 = 256 = 64 * 4 bits
     args = ((((0, 0), ((1, 1), (-1, 1))),), (-5, 0), (5, 15), (0, 1))
-    assert _kernels.linear_points_by_sweep(*args, 5) == {
+    assert _kernels.linear_points_by_sweep(*args, 4) == {
         (x, y) for y in range(16) for x in range(-5, 6) if abs(x) <= y and (x + y) % 2 == 0
     }
-    with pytest.raises(BudgetExceeded, match="more than 256 bits"):
-        _kernels.linear_points_by_sweep(*args, 4)
+    with pytest.raises(BudgetExceeded, match="more than 192 bits"):
+        _kernels.linear_points_by_sweep(*args, 3)
 
 
 @st.composite
@@ -237,5 +255,7 @@ def test_backend_name_exposed():
 
 def test_high_dimension_box():
     base = (0,) * 13
-    pts = _kernels.linear_points_in_box(base, (), base, (1,) * 13, None, 10**6)
-    assert pts == {base}
+    hi = (1,) * 13
+    points = _cone_points(base, (), base, hi, None)
+    assert points == set(_kernels.linear_point_counts(base, (), base, hi, None, 10**6))
+    assert points == {base}

@@ -1,8 +1,11 @@
 import itertools
+import json
 from collections import Counter
+from operator import mul
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratcoord import (
@@ -26,6 +29,8 @@ from ratcoord import (
     validate_decomposition,
 )
 from ratcoord import _kernels
+from ratcoord._exactlinalg import rank
+from ratcoord.semilinear import _independent_subsets, _magnitude, _positive_functional
 from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points
 
 A2 = AMBIGUOUS_EXAMPLE
@@ -356,6 +361,115 @@ class TestDisambiguate:
             LinearSet((2, -1), ((-1, 2), (2, 1))),
             LinearSet((2, 2), ((1, 1),)),
         )
+
+
+def _reference_cover(s, radius):
+    """The greedy cover over tuple sets, one counts-kernel call per candidate.
+
+    Returns the parts that disambiguate chooses, uncertified, or the input's
+    parts when they are independent and certify as they stand.
+    """
+    parts = tuple(dict.fromkeys(s.parts))
+    dim = parts[0].dim
+    radius = max(radius, _magnitude(parts) + 1)
+    lo, hi = (-radius,) * dim, (radius,) * dim
+    universe = sorted({p for part in parts for p in part.periods})
+    w = _positive_functional(tuple(universe), dim) if universe else (0,) * dim
+    points = enumerate_in_box(s, lo, hi)
+    if all(rank(part.periods) == len(part.periods) for part in parts):
+        if validate_decomposition(s, SemilinearSet(parts), lo, hi):
+            return parts
+    uncovered, chosen = set(points), []
+    for base in sorted(points, key=lambda x: (sum(map(mul, w, x)), x)):
+        if base not in uncovered:
+            continue
+        cones = []
+        for periods in _independent_subsets(universe, min(dim, len(universe))):
+            cone = set(_kernels.linear_point_counts(base, periods, lo, hi, w, 10**6))
+            if cone <= uncovered:
+                cones.append(((-len(cone), len(periods), periods), cone))
+        (_, _, periods), cone = min(cones)
+        chosen.append(LinearSet(base, periods))
+        uncovered -= cone
+    return tuple(chosen)
+
+
+def _same_cover(s, radius):
+    expected = _reference_cover(s, radius)
+    try:
+        got = disambiguate(s, box_radius=radius).parts
+    except DecompositionError:
+        # only a cover that fails certification may be refused
+        r = max(radius, _magnitude(s.parts) + 1)
+        box = (-r,) * s.dim, (r,) * s.dim
+        assert not validate_decomposition(s, SemilinearSet(expected), *box)
+        return
+    assert got == expected
+
+
+@st.composite
+def sets_with_functional(draw):
+    """(set, radius): two or three parts in dims 1-3 with a positive functional.
+
+    The functional is drawn as a unit vector or as any other vector in
+    {-1, 0, 1}^d.  The parts draw their periods from a shared pool of
+    vectors it advances, so they overlap and their periods may be dependent.
+    """
+    dim = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-2, 2)] * dim)
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, dim - 1))
+        weights = tuple(int(i == axis) for i in range(dim))
+    else:
+        weights = draw(st.tuples(*[st.integers(-1, 1)] * dim).filter(any))
+    pool = draw(
+        st.lists(
+            vectors.filter(lambda p: sum(map(mul, weights, p)) >= 1),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    periods = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
+    bases = st.tuples(*[st.integers(-1, 1)] * dim)
+    parts = draw(st.lists(st.builds(LinearSet, bases, periods), min_size=2, max_size=3))
+    return SemilinearSet(tuple(parts)), draw(st.integers(2, 4))
+
+
+class TestGreedyMatchesTupleSets:
+    @settings(max_examples=100, deadline=2000)
+    @given(sets_with_functional())
+    @example((SemilinearSet((A2,)), 4))  # functional (1, 1)
+    @example(  # unit functional, cells on x
+        (
+            SemilinearSet(
+                (
+                    LinearSet((0, 1), ((1, 1), (-1, 1), (0, 2))),
+                    LinearSet((1, 0), ((2, 1), (-2, 1))),
+                )
+            ),
+            4,
+        )
+    )
+    @example(  # unit functional, two cell axes
+        (
+            SemilinearSet(
+                (
+                    LinearSet((0, 0, 0), ((1, 0, 1), (0, 1, 1), (-1, -1, 1))),
+                    LinearSet((0, 0, 1), ((1, 0, 1), (0, 0, 2))),
+                )
+            ),
+            3,
+        )
+    )
+    def test_drawn_sets(self, case):
+        _same_cover(*case)
+
+    @pytest.mark.parametrize("target", [1, 2])
+    def test_frozen_images(self, target):
+        path = Path(__file__).resolve().parents[1] / "ratbench" / "inputs"
+        with open(path / f"4off_target{target}.json", encoding="utf-8") as handle:
+            image = semilinear_from_json(json.load(handle))
+        _same_cover(image, _magnitude(image.parts) + 8)
 
 
 class TestRepresentationConsistency:
