@@ -12,32 +12,40 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def rank(vectors) -> int:
-    """Rank over the rationals of a list of integer vectors.
+def _eliminate(rows, ncols) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Fraction-free elimination: each pivot row clears its column from the
-    other rows by integer cross-multiplication, and every new row is divided
-    by the gcd of its entries, so no Fraction is built.
+    Each pivot clears its column (among the first ``ncols``) from every
+    other row by integer cross-multiplication, and each new row is divided
+    by the gcd of its entries.  Every row stays a nonzero multiple of the
+    row that elimination over the Fractions would hold, so the pivot
+    columns, which are returned, are the same; row i holds pivot i.
     """
-    rows = [list(vec) for vec in vectors if any(vec)]
-    r = 0
-    while rows:
-        pivot = rows.pop()
-        col = next(i for i, x in enumerate(pivot) if x)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
         a = pivot[col]
-        reduced = []
-        for row in rows:
+        for i, row in enumerate(rows):
             b = row[col]
-            if b:
+            if b and i != r:
                 row = [a * x - b * y for x, y in zip(row, pivot)]
                 g = gcd(*row)
-                if not g:
-                    continue
-                row = [x // g for x in row]
-            reduced.append(row)
-        rows = reduced
-        r += 1
-    return r
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return pivots
+
+
+def rank(vectors) -> int:
+    """Rank over the rationals of a list of integer vectors."""
+    rows = [list(vec) for vec in vectors]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0))
 
 
 def solve(matrix, rhs):
@@ -47,12 +55,9 @@ def solve(matrix, rhs):
     zero, or ``None`` when the system is inconsistent.  ``free_columns`` empty
     means the solution is unique.
 
-    Fraction-free Gauss-Jordan elimination: each augmented row is scaled to
-    integers, a pivot clears its column from every other row by integer
-    cross-multiplication, and each new row is divided by the gcd of its
-    entries.  Every row stays a nonzero multiple of the row that elimination
-    over the Fractions would hold, so the pivot columns are the same; only
-    the returned values ``rhs / pivot`` are Fractions.
+    Each augmented row is scaled to integers and eliminated by
+    :func:`_eliminate`; only the returned values ``rhs / pivot`` are
+    Fractions.
     """
     if not matrix:
         return ([], []) if all(b == 0 for b in rhs) else None
@@ -62,24 +67,7 @@ def solve(matrix, rhs):
         row = [*row, b]
         scale = lcm(*(v.denominator for v in row))
         m.append([int(v * scale) for v in row])
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r]
-        a = pivot[col]
-        for i, row in enumerate(m):
-            b = row[col]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(col)
+    pivots = _eliminate(m, ncols)
     if any(row[ncols] for row in m[len(pivots):]):
         return None
     sol = [Fraction(0)] * ncols

@@ -6,11 +6,13 @@ returns (mask, vector) profiles.  Cover BFS is word-parallel: a layer is
 one integer per orbit, a bitset over the cells in reach, and an edge moves
 a whole layer with one shift.  Box enumeration sweeps a :class:`BoxGrid`
 of the same kind (a level per value of a functional, a period moves a
-whole level with one shift): the points of a whole semilinear set come
-from one sweep, and the greedy search of ``disambiguate`` sweeps each
-candidate cone in one grid per call and never decodes it.  The points of
-one linear set with their representation counts come from a search over
-partial sums.  The public modules call these
+whole level with one shift, and the first cell axis has the largest place
+value, so a level's bits run in the lexicographic order of its points):
+the points of a whole semilinear set come from one sweep, and the greedy
+search of ``disambiguate`` walks the input's points in (level, bit) order
+and sweeps each candidate cone in the same grid, without decoding it.  The
+points of one linear set with their representation counts come from a
+search over partial sums.  The public modules call these
 kernels through this module's attributes (``_kernels.name``), so a wrapper
 installed here sees every call.  All indices here are 0-based (the public
 modules use 1-based orbits/states and convert).
@@ -220,38 +222,52 @@ def linear_points_in_box(base, periods, grid):
     return grid.in_box(grid.sweep(layers, periods, k))
 
 
+def linear_sets_in_box(parts, grid):
+    """Box points of a union of ``(base, periods)`` parts, one bitset per level.
+
+    Every base is a point of ``grid``'s region and every period is a tuple
+    among its periods.  Parts with the same periods share one sweep, with
+    each base set in its own level; the union over parts is masked to the
+    box.
+    """
+    groups: dict = {}  # {set of periods: levels holding the bases}
+    for base, periods in parts:
+        layers = groups.setdefault(frozenset(periods), [0] * grid.levels)
+        k, bit = grid.index(base)
+        layers[k] |= 1 << bit
+    union = [0] * grid.levels
+    while groups:  # a swept group is dropped before the next is swept
+        periods, layers = groups.popitem()
+        for k, layer in enumerate(grid.sweep(layers, periods)):
+            union[k] |= layer
+    return grid.in_box(union)
+
+
 def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
     """Points of a union of ``(base, periods)`` parts in ``[lo, hi]``, as a set.
 
-    ``weights`` is as in :func:`linear_point_counts`.  The parts are swept
-    in one :class:`BoxGrid` built from their bases and periods.  Parts with
-    the same periods share one sweep, with each base set in its own level;
-    the union over parts, masked to the box, is decoded level by level.  A
-    base past the box where no period of its part turns back is dropped
-    before the grid is built.
+    ``weights`` is as in :func:`linear_point_counts`.  A base past the box
+    where no period of its part turns back is dropped; the other parts are
+    swept by :func:`linear_sets_in_box` in one :class:`BoxGrid` built from
+    their bases and periods, and decoded.
     """
     level_weights = weights if weights is not None else (0,) * len(lo)
     top = _box_top(level_weights, lo, hi)
-    groups: dict = {}  # {set of nonzero periods: bases}
+    kept = []
     for base, periods in parts:
-        periods = frozenset(filter(any, map(tuple, periods)))
-        base = tuple(base)
+        periods = [p for p in map(tuple, periods) if any(p)]
         if sum(map(mul, level_weights, base)) > top or any(
             x > h and min([p[i] for p in periods], default=0) >= 0
             or x < l and max([p[i] for p in periods], default=0) <= 0
             for i, (x, l, h) in enumerate(zip(base, lo, hi))
         ):
             continue
-        groups.setdefault(periods, []).append(base)
-    if not groups:
+        kept.append((base, periods))
+    if not kept:
         return set()
-    bases = [base for group in groups.values() for base in group]
-    grid = BoxGrid(bases, set().union(*groups), lo, hi, weights, max_nodes)
-    union = [0] * grid.levels
-    for group, group_bases in groups.items():
-        for k, layer in enumerate(grid.sweep(grid.encode(group_bases), group)):
-            union[k] |= layer
-    return grid.decode(union)
+    periods = {p for _, part_periods in kept for p in part_periods}
+    grid = BoxGrid([base for base, _ in kept], periods, lo, hi, weights, max_nodes)
+    return set(grid.decode(linear_sets_in_box(kept, grid)))
 
 
 class BoxGrid:
@@ -274,8 +290,11 @@ class BoxGrid:
     cell axis has guard cells as wide as the largest period step along it,
     so a shift that leaves the region lands on a guard cell (no carry
     reaches a valid one) and one AND with ``valid`` clears it; ``box``
-    holds the cells of the box.  More than ``64 * max_nodes`` bits over
-    the levels raise BudgetExceeded before any level is built.
+    holds the cells of the box.  The first cell axis has the largest place
+    value, so bit order within a level is lexicographic order and (level,
+    bit) order is that of ``(weights . x, x)``: the greedy search walks the
+    points in it unsorted.  More than ``64 * max_nodes`` bits over the
+    levels raise BudgetExceeded before any level is built.
     """
 
     def __init__(self, bases, periods, lo, hi, weights, max_nodes):
@@ -297,14 +316,13 @@ class BoxGrid:
             widths.append(max(hi[i], *coordinates) + slack + 1 - self.lows[-1])
             self.strides.append(widths[-1] + max([0] + [abs(p[i]) for p in periods]))
         place, self.places = 1, []
-        for stride in self.strides:
-            self.places.append(place)
+        for stride in reversed(self.strides):
+            self.places.insert(0, place)
             place *= stride
         if place * self.levels > 64 * max_nodes:
             raise BudgetExceeded(
                 f"box levels would span more than {64 * max_nodes} bits"
             )
-        self.cells = place
         self.moves = {p: (self.level(p), self.shift(p)) for p in periods}
         self.origin = sum(map(mul, self.lows, self.places))  # the low corner
         self.valid = _cell_block([(0, width - 1) for width in widths], self.places)
@@ -323,14 +341,6 @@ class BoxGrid:
     def index(self, point):
         """(level index, bit) of a point of the region."""
         return self.level(point) - self.first, self.shift(point) - self.origin
-
-    def encode(self, points):
-        """Points of the region as one bitset per level."""
-        rows = [bytearray((self.cells + 7) // 8) for _ in range(self.levels)]
-        for point in points:
-            k, bit = self.index(point)
-            rows[k][bit >> 3] |= 1 << (bit & 7)
-        return [int.from_bytes(row, "little") for row in rows]
 
     def sweep(self, layers, periods, start=0):
         """Close ``layers`` under adding the periods, in place, from level ``start``.
@@ -367,9 +377,8 @@ class BoxGrid:
         return [0] * below + [layer & box for layer in layers[below:]]
 
     def decode(self, layers):
-        """The box points of per-level bitsets, as a set of tuples."""
-        points = set()
-        for k, layer in enumerate(self.in_box(layers)):
+        """The points of box-masked levels as tuples, in (level, bit) order."""
+        for k, layer in enumerate(layers):
             if not layer:
                 continue
             # bit j is character j of the reversed binary string, so the runs
@@ -379,13 +388,12 @@ class BoxGrid:
             gaps.pop()
             index = list(map(add, accumulate(map(len, gaps)), count()))
             columns = []
-            for low, stride in zip(self.lows, self.strides):
-                columns.append(map(add, map(mod, index, repeat(stride)), repeat(low)))
-                index = list(map(floordiv, index, repeat(stride)))
+            for low, stride, place in zip(self.lows, self.strides, self.places):
+                digits = map(mod, map(floordiv, index, repeat(place)), repeat(stride))
+                columns.append(map(add, digits, repeat(low)))
             if self.level_axis is not None:
                 columns.insert(self.level_axis, repeat(self.first + k, len(gaps)))
-            points.update(zip(*columns) if columns else [()])
-        return points
+            yield from zip(*columns) if columns else [()]
 
 
 def _box_top(weights, lo, hi):

@@ -326,6 +326,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
     with open(args.json_input, encoding="utf-8") as handle:
         data = json.load(handle)
     original = semilinear_from_json(data)

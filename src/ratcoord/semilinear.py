@@ -381,28 +381,28 @@ def disambiguate(
 ) -> SemilinearSet:
     """Equivalent-on-box union of pairwise disjoint unambiguous linear sets.
 
-    Restricted greedy search: the box points are sorted once by the
-    functional, then by point, and walked in that order.  Candidate parts
-    are cones ``L(u; P)`` where u is the next uncovered point and P is a
-    linearly independent subset of the periods appearing in the input.
+    Restricted greedy search on one ``_kernels.BoxGrid`` of the box, the
+    bases and the periods: the input is swept into it as one bitset per
+    level, and its box points are walked in the grid's (level, bit) order,
+    the order of the functional, then of the point, with no sort.
+    Candidate parts are cones ``L(u; P)`` where u is the next uncovered
+    point and P is a linearly independent subset of the input's periods.
     Every accepted candidate must have only uncovered points of the input
     in the box, so a subset is tried only if each of its periods q has
     u + q outside the box or uncovered; the other subsets contain an
     inadmissible point.  The admissible cone with the most box points wins,
-    then the one with fewer periods, then the smaller periods.  The search
-    runs on one ``_kernels.BoxGrid`` of the box and the periods: the
-    uncovered points are one bitset per level, each candidate cone is swept
-    up from u in that grid, and it is admissible iff no level has a cone
-    bit that is not uncovered.  The result is returned only when
-    validate_decomposition certifies it; otherwise DecompositionError is
-    raised.
+    then the one with fewer periods, then the smaller periods.  Each
+    candidate cone is swept up from u in the grid, and it is admissible
+    iff no level has a cone bit that is not uncovered.  The result is
+    returned only when validate_decomposition certifies it; otherwise
+    DecompositionError is raised.
 
     The verification box is ``[-r, r]^dim`` with r defaulting to four times
     the largest coordinate magnitude among bases and periods; an explicit
     ``box_radius`` is clamped up so the box always contains every base.
-    ``budget`` caps the sweep of the input, each certifying count, and the
-    grid at ``64 * budget`` bits; the grid is checked once, before the
-    greedy search starts, so no candidate is skipped for its size.
+    ``budget`` caps each certifying count and the grid at ``64 * budget``
+    bits; the grid is checked once, before the input is swept, so no
+    candidate is skipped for its size.
     """
     parts = tuple(dict.fromkeys(s.parts))
     if not parts:
@@ -422,17 +422,20 @@ def disambiguate(
             "cannot order the box"
         )
 
-    source = SemilinearSet(parts)
-    orig_points = enumerate_in_box(source, lo, hi, budget)
-
-    def sort_key(point):
-        wv = sum(a * b for a, b in zip(weights, point)) if weights else 0
-        return (wv, point)
+    # one grid for the box and the universe; the bases are box points
+    grid = _kernels.BoxGrid(
+        [part.base for part in parts], universe, lo, hi, weights, budget
+    )
+    uncovered = _kernels.linear_sets_in_box(
+        [(part.base, part.periods) for part in parts], grid
+    )
+    points = list(grid.decode(uncovered))
+    orig_points = set(points)
 
     # fast path: the input itself may already be certifiable
     if all(rank(part.periods) == len(part.periods) for part in parts):
         if _certify(orig_points, parts, lo, hi, budget):
-            return _mark_certified(source)
+            return _mark_certified(SemilinearSet(parts))
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
     if len(subsets) > 5000:
@@ -440,12 +443,6 @@ def disambiguate(
             f"period universe too large ({len(universe)} periods) for the "
             "restricted search"
         )
-
-    # one grid for the box and the universe; the bases are box points
-    grid = _kernels.BoxGrid(
-        [part.base for part in parts], universe, lo, hi, weights, budget
-    )
-    uncovered = grid.encode(orig_points)
 
     def is_uncovered(point):
         k, bit = grid.index(point)
@@ -462,7 +459,7 @@ def disambiguate(
                 yield (-count, len(periods), periods), cone
 
     chosen: list[LinearSet] = []
-    for base in sorted(orig_points, key=sort_key):
+    for base in points:
         if not is_uncovered(base):
             continue
         if len(chosen) >= 1000:
@@ -497,9 +494,12 @@ def _malformed(what, exc) -> ValueError:
 
 
 def linear_set_from_json(data: dict) -> LinearSet:
-    """Inverse of linear_set_to_json; ValueError on a missing key or wrong shape."""
+    """Inverse of linear_set_to_json; ValueError on a missing key, a wrong
+    shape or a coordinate that is not a JSON integer (none is converted)."""
     try:
         base, periods = data["base"], data["periods"]
+        if not all(type(x) is int for vector in (base, *periods) for x in vector):
+            raise ValueError("malformed linear set JSON: non-integer coordinate")
         return LinearSet(tuple(base), tuple(tuple(p) for p in periods))
     except (KeyError, TypeError) as exc:
         raise _malformed("linear set", exc) from exc

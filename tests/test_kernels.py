@@ -4,6 +4,7 @@ Cover BFS is checked against a plain BFS in ``test_periodic_graph.py``."""
 
 import itertools
 from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,7 +98,7 @@ def _cone_points(base, periods, lo, hi, weights):
     grid = _kernels.BoxGrid([base], periods, lo, hi, weights, 10**6)
     if grid.levels < 1:  # the base lies above the box's top level
         return set()
-    return grid.decode(_kernels.linear_points_in_box(base, periods, grid))
+    return set(grid.decode(_kernels.linear_points_in_box(base, periods, grid)))
 
 
 def test_zigzag_needs_the_widening():
@@ -145,6 +146,26 @@ def test_sweep_matches_brute_force(case):
     parts, lo, hi, weights = case
     points = _kernels.linear_points_by_sweep(parts, lo, hi, weights, 10**6)
     assert points == set(_brute_force_counts(parts, lo, hi, weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_linear_sets())
+@example(((((0, 0), ((2, -1), (-1, 2))),), (-3, -3), (3, 3), (1, 1)))  # non-unit
+@example(((((0, 0, 0), ((1, 0, 1), (0, 1, 1))),), (-2, -2, 0), (2, 2, 3), (0, 0, 1)))
+def test_decode_walks_functional_then_point_order(case):
+    # the greedy of disambiguate walks the box points in this order unsorted
+    parts, lo, hi, weights = case
+    top = sum(w * (h if w > 0 else low) for w, low, h in zip(weights, lo, hi))
+    parts = [part for part in parts if sum(map(mul, weights, part[0])) <= top]
+    for functional in (weights, None):
+        if not parts:
+            break
+        periods = {p for _, part_periods in parts for p in part_periods}
+        grid = _kernels.BoxGrid([base for base, _ in parts], periods, lo, hi, functional, 10**6)
+        points = list(grid.decode(_kernels.linear_sets_in_box(parts, grid)))
+        w = functional or (0,) * len(lo)
+        assert points == sorted(set(points), key=lambda x: (sum(map(mul, w, x)), x))
+        assert set(points) == _kernels.linear_points_by_sweep(parts, lo, hi, functional, 10**6)
 
 
 @st.composite

@@ -242,8 +242,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "payload",
-        [{"parts": [{"base": [0, 0]}]}, [1, 2]],
-        ids=["missing_key", "wrong_shape"],
+        [
+            {"parts": [{"base": [0, 0]}]},
+            [1, 2],
+            # a coordinate that is not a JSON integer is not rounded or converted
+            {"parts": [{"base": [0.7, 0], "periods": [[1, 0]]}]},
+            {"parts": [{"base": [True, 0], "periods": [[1, 0]]}]},
+            {"parts": [{"base": [0, 0], "periods": [["3", 0]]}]},
+        ],
+        ids=["missing_key", "wrong_shape", "float", "bool", "string"],
     )
     def test_malformed_decompose_input_exit_two(self, tmp_path, capsys, payload):
         path = tmp_path / "set.json"
@@ -251,6 +258,14 @@ class TestCli:
         code = main(["semilinear", "decompose", "--json-input", str(path)])
         assert code == 2
         assert "ratcoord: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_exit_two(self, tmp_path, capsys, budget):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"parts": [{"base": [0], "periods": [[1]]}]}))
+        argv = ["semilinear", "decompose", "--json-input", str(path), "--budget", budget]
+        assert main(argv) == 2
+        assert "--budget must be positive" in capsys.readouterr().err
 
     def test_determinism_byte_identical(self, graph_files, cli_env):
         cmd = [

@@ -334,6 +334,19 @@ class TestDisambiguate:
         assert disambiguate(SemilinearSet((A2,))).certified
         assert len(calls) > 0
 
+    def test_one_grid_per_call(self, monkeypatch):
+        # the input is swept into the greedy's own grid, not into a second one
+        grid_class = _kernels.BoxGrid
+        grids = []
+
+        def counted(*args):
+            grids.append(args)
+            return grid_class(*args)
+
+        monkeypatch.setattr(_kernels, "BoxGrid", counted)
+        assert disambiguate(SemilinearSet((A2,))).certified
+        assert len(grids) == 1
+
     def test_parts_certified_unambiguous(self):
         d = disambiguate(SemilinearSet((A2,)))
         for part in d.parts:
