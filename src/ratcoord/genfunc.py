@@ -1,15 +1,15 @@
 """Exact univariate rational generating functions.
 
-Polynomials are tuples of integer (or Fraction) coefficients in ascending
-powers with no trailing zeros; the empty tuple is the zero polynomial.  A
-RationalGF is a ratio of integer polynomials kept in a canonical form that
-makes equality a tuple comparison and guarantees the power-series expansion
-has integer coefficients.  No floating point is used anywhere.
+Polynomials are tuples of integer coefficients in ascending powers with no
+trailing zeros; the empty tuple is the zero polynomial.  A RationalGF is a
+ratio of integer polynomials kept in a canonical form that makes equality a
+tuple comparison and guarantees the power-series expansion has integer
+coefficients.  Its gcd is a primitive pseudo-remainder sequence, so the
+arithmetic stays in Z[z]; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -53,44 +53,45 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pdivmod(a, b):
-    """Exact division with remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
-    for i in range(len(rem) - len(b), -1, -1):
-        coeff = rem[i + len(b) - 1] / lead
-        if coeff == 0:
-            continue
-        quo[i] = coeff
-        for j, y in enumerate(b):
-            rem[i + j] -= coeff * y
-    return _trim(quo), _trim(rem)
+def _primitive(a):
+    """``a`` divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*a)
+    return tuple(x // g if a[-1] > 0 else -x // g for x in a)
+
+
+def _prem(a, b):
+    """Pseudo-remainder: the remainder of ``b[-1]**k * a`` modulo ``b`` for
+    some k >= 0, so it is zero exactly when b divides a."""
+    rem, lead, n = list(a), b[-1], len(b) - 1
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem.pop()
+        if c:
+            rem = [x * lead for x in rem]
+            for j in range(n):
+                rem[top - n + j] -= c * b[j]
+    return _trim(rem)
+
+
+def _pdiv(a, b):
+    """Exact quotient a / b for a primitive b that divides a; by Gauss's
+    lemma it is integral, so every step divides exactly."""
+    rem, lead, n = list(a), b[-1], len(b) - 1
+    quo = []
+    for top in range(len(rem) - 1, n - 1, -1):
+        c = rem.pop() // lead
+        quo.append(c)
+        if c:
+            for j in range(n):
+                rem[top - n + j] -= c * b[j]
+    return tuple(reversed(quo))
 
 
 def _pgcd(a, b):
-    """Greatest common divisor, returned primitive over Z with positive lead."""
-    a, b = _trim(a), _trim(b)
+    """Primitive gcd, with positive lead, of two integer polynomials not both
+    zero: a primitive remainder sequence (Knuth, TAOCP Vol. 2, 4.6.1)."""
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _clear_fractions(a)
-
-
-def _clear_fractions(a):
-    """Scale a rational polynomial to a primitive integer one, positive lead."""
-    if not a:
-        return ()
-    a = [Fraction(x) for x in a]
-    scale = math.lcm(*(x.denominator for x in a))
-    ints = [int(x * scale) for x in a]
-    g = math.gcd(*(abs(x) for x in ints))
-    if ints[-1] < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+        a, b = b, _primitive(_prem(a, b))
+    return _primitive(a)
 
 
 def _poly_str(coeffs) -> str:
@@ -119,38 +120,34 @@ class RationalGF:
     Canonical form: numerator and denominator are coprime integer
     polynomials with coprime contents, and the denominator has constant term
     +1 (so the value is an integer power series and two equal values have
-    identical tuples).
+    identical tuples).  Rational input is scaled to integers once; the
+    common factor is removed by an exact integer division by the primitive
+    gcd.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(1,)):
-        num_t = _trim(Fraction(x) for x in num)
-        den_t = _trim(Fraction(x) for x in den)
-        if not den_t:
+        num = _trim(Fraction(x) for x in num)
+        den = _trim(Fraction(x) for x in den)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num_t:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (1,))
-            return
-        g = _pgcd(num_t, den_t)
-        if len(g) > 1:
-            num_t = _pdivmod(num_t, g)[0]
-            den_t = _pdivmod(den_t, g)[0]
-        if den_t[0] == 0:
+        scale = math.lcm(*(x.denominator for x in num + den))
+        num = tuple(x.numerator * (scale // x.denominator) for x in num)
+        den = tuple(x.numerator * (scale // x.denominator) for x in den)
+        g = _pgcd(num, den)  # den itself, up to its content, when num is 0
+        num, den = _pdiv(num, g), _pdiv(den, g)
+        if den[0] == 0:
             raise ValueError("denominator must have a nonzero constant term")
         # With num/den coprime, the only rescaling that puts the constant
         # term of the denominator at +1 is division by that constant term;
         # both sides must come out integral or the series is not integral.
-        scale = den_t[0]
-        num_final = tuple(x / scale for x in num_t)
-        den_final = tuple(x / scale for x in den_t)
-        if any(x.denominator != 1 for x in itertools.chain(num_final, den_final)):
+        if any(x % den[0] for x in num + den):
             raise ValueError(
                 "value is not an integer power series in canonical form"
             )
-        object.__setattr__(self, "num", tuple(int(x) for x in num_final))
-        object.__setattr__(self, "den", tuple(int(x) for x in den_final))
+        object.__setattr__(self, "num", tuple(x // den[0] for x in num))
+        object.__setattr__(self, "den", tuple(x // den[0] for x in den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalGF is immutable")
@@ -254,6 +251,9 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     start: the consistent starts form a suffix of ``[t, fit_end - t]``.  The
     first of them is found by bisection, and the scan begins there.
     """
+    prefix = list(prefix)
+    if any(int(v) != v for v in prefix):
+        raise ValueError("prefix terms must be integers")
     prefix = [int(v) for v in prefix]
     n = len(prefix)
     if verify_window < 0 or max_order < 0:
@@ -319,18 +319,13 @@ class QuasiPolynomial:
 
 
 def _denominator_period(den, cap):
-    """Smallest P <= cap with den | (1 - z^P)^deg(den), or None."""
-    deg = len(den) - 1
+    """Smallest P <= cap with den | (1 - z^P)^deg(den), or None.  Residues
+    are primitive pseudo-remainders: exact up to a nonzero integer factor."""
     for period in range(1, cap + 1):
-        cyc = (1,) + (0,) * (period - 1) + (-1,)
+        base = _primitive(_prem((1,) + (0,) * (period - 1) + (-1,), den))
         power = (1,)
-        base = _pdivmod(cyc, den)[1]
-        exponent = deg
-        while exponent:
-            if exponent & 1:
-                power = _pdivmod(_pmul(power, base), den)[1]
-            base = _pdivmod(_pmul(base, base), den)[1]
-            exponent >>= 1
+        for _ in range(len(den) - 1):
+            power = _primitive(_prem(_pmul(power, base), den))
         if not power:
             return period
     return None

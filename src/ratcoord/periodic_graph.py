@@ -103,6 +103,8 @@ class CoordinationSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if any(int(v) != v for v in self.values):
+            raise ValueError("coordination counts must be integers")
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         if any(v < 0 for v in self.values):
             raise ValueError("coordination counts must be nonnegative")

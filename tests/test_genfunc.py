@@ -23,7 +23,54 @@ from ratcoord._exactlinalg import solve
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
 
+def _times(a, b):
+    """Product of two coefficient lists."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _long_division(num, den, n):
+    """Series coefficients c_0..c_n of num/den by long division over the
+    rationals (den[0] != 0): the oracle for the canonical form."""
+    coeffs = []
+    for k in range(n + 1):
+        c = Fraction(num[k] if k < len(num) else 0)
+        c -= sum(den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        coeffs.append(c / den[0])
+    return coeffs
+
+
+def _gf_outcome(num, den):
+    try:
+        return RationalGF(num, den)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+nonzero = st.integers(-3, 3).filter(bool)
+small_polys = st.lists(st.integers(-3, 3), max_size=3)
+
+
 class TestCanonicalForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-4, 4), max_size=4),
+        st.builds(lambda c, tail: [c] + tail, nonzero, small_polys),
+        st.builds(lambda c, tail: [c] + tail, nonzero, small_polys),
+    )
+    @example([1], [1, -1], [1, 2])  # common factor with leading coefficient 2
+    @example([1, 1], [1, 0, -1], [2, 0, 3])
+    @example([1], [2, -1], [1, 0, 3])  # not an integer series either way
+    def test_common_factor_property(self, num, den, h):
+        value = _gf_outcome(num, den)
+        assert _gf_outcome(_times(num, h), _times(den, h)) == value
+        if isinstance(value, RationalGF):
+            assert value.den[0] == 1
+            assert series_coeffs(value, 12) == _long_division(num, den, 12)
+
     def test_common_factor_cancels(self):
         # (1+z^3)/(1-z^2) and (1-z+z^2)/(1-z) are the same value
         assert RationalGF((1, 0, 0, 1), (1, 0, -1)) == RationalGF((1, -1, 1), (1, -1))
@@ -172,6 +219,18 @@ class TestFit:
             prefix = series_coeffs(q, 39)
             assert fit_rational(prefix, 6, 5) == q
 
+    @pytest.mark.parametrize(
+        "prefix",
+        [[Fraction(1, 2)] * 8, [1.7, 2.2, 3.9, 4.5, 5.1, 6.8, 7.0, 8.2]],
+    )
+    def test_nonintegral_terms_rejected(self, prefix):
+        with pytest.raises(ValueError, match="integers"):
+            fit_rational(prefix, 3, 2)
+
+    def test_integral_terms_convert(self):
+        prefix = [Fraction(1), 1.0, True, 1, 1, 1]
+        assert fit_rational(prefix, 2, 2) == RationalGF((1,), (1, -1))
+
 
 class TestQuasiPolynomial:
     def test_square(self):
@@ -188,9 +247,12 @@ class TestQuasiPolynomial:
         assert qp.residue_polynomials == ((Fraction(1),), ())
         assert [qp.evaluate(k) for k in range(5)] == [1, 0, 1, 0, 1]
 
-    def test_golden_ratio_pole_rejected(self):
+    # 1 - z - z^2 (the golden ratio); 1 - z + 2z^2 and 1 + 3z^3 are not
+    # monic, so the root-of-unity check reduces by them with pseudo-remainders
+    @pytest.mark.parametrize("den", [(1, -1, -1), (1, -1, 2), (1, 0, 0, 3)])
+    def test_golden_ratio_pole_rejected(self, den):
         with pytest.raises(NotQuasiPolynomialError):
-            to_quasi_polynomial(RationalGF((0, 1), (1, -1, -1)))
+            to_quasi_polynomial(RationalGF((0, 1), den))
 
     def test_evaluation_matches_series(self, gf_corpus):
         for q in gf_corpus:

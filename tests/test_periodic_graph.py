@@ -165,6 +165,11 @@ class TestBfs:
         with pytest.raises(ValueError):
             CoordinationSequence((1, -1))
 
+    def test_nonintegral_counts_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            CoordinationSequence((1, 2.5, 3.9))
+        assert CoordinationSequence((1, 4.0, 8)).values == (1, 4, 8)
+
 
 class TestCumulative:
     @pytest.mark.parametrize(

@@ -64,6 +64,9 @@ def gate_commands(nets, inputs, kagome):
         for origin in range(1, origins + 1):
             argv = ["gf", str(path), "--origin", str(origin), "--depth", "30", "--json"]
             commands.append((f"gf {name} {origin}", argv))
+    for name in ("pcu", "dia", "bcu"):  # the bfs_deep workload's fits
+        argv = ["gf", "--method", "fit", str(nets / f"{name}.graph"), "--origin", "1"]
+        commands.append((f"gf fit {name} 60", argv + ["--depth", "60", "--json"]))
     for target in (1, 2):
         path = inputs / f"4off_target{target}.json"
         image = json.loads(path.read_text(encoding="utf-8"))
