@@ -7,15 +7,17 @@ one integer per orbit, a bitset over the cells in reach, and an edge moves
 a whole layer with one shift.  Box enumeration sweeps a :class:`BoxGrid`
 of the same kind (a level per value of a functional, a period moves a
 whole level with one shift, and the first cell axis has the largest place
-value, so a level's bits run in the lexicographic order of its points):
-the points of a whole semilinear set come from one sweep, and the greedy
-search of ``disambiguate`` walks the input's points in (level, bit) order
-and sweeps each candidate cone in the same grid, without decoding it.  The
-points of one linear set with their representation counts come from a
-search over partial sums.  The public modules call these
-kernels through this module's attributes (``_kernels.name``), so a wrapper
-installed here sees every call.  All indices here are 0-based (the public
-modules use 1-based orbits/states and convert).
+value, so a level's bits run in the lexicographic order of its points).
+On the symbolic path every point set stays such a bitset per level of one
+grid: ``disambiguate`` sweeps its input and candidate cones, certifies by
+popcount and decodes only the bases it chooses, and the doubled-box check
+compares two sets' levels.  A search over partial sums gives the points of
+one linear set with their representation counts, for counting,
+membership, unambiguity and ``validate_decomposition``.  The public
+modules call these kernels through this module's attributes
+(``_kernels.name``), so a wrapper installed here sees every call.  All
+indices here are 0-based (the public modules use 1-based orbits/states
+and convert).
 """
 
 from __future__ import annotations
@@ -377,7 +379,10 @@ class BoxGrid:
         return [0] * below + [layer & box for layer in layers[below:]]
 
     def decode(self, layers):
-        """The points of box-masked levels as tuples, in (level, bit) order."""
+        """The points of box-masked levels as tuples, in (level, bit) order.
+
+        A level is read when reached: bits cleared in it before are skipped.
+        """
         for k, layer in enumerate(layers):
             if not layer:
                 continue

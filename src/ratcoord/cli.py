@@ -41,7 +41,8 @@ from .periodic_graph import (
 from .semilinear import (
     _magnitude,
     disambiguate,
-    enumerate_in_box,
+    enumerate_in_box,  # unused; kept bound for ratbench/tracing.py, which patches it
+    same_in_box,
     semilinear_from_json,
     semilinear_to_json,
 )
@@ -108,13 +109,8 @@ def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
         decomposition = disambiguate(
             image, box_radius=radius, budget=SYMBOLIC_BUDGET
         )
-        wide_lo = (-2 * radius,) * (g.dim + 1)
-        wide_hi = (2 * radius,) * (g.dim + 1)
-        wide_original = enumerate_in_box(image, wide_lo, wide_hi, SYMBOLIC_BUDGET)
-        wide_candidate = enumerate_in_box(
-            decomposition, wide_lo, wide_hi, SYMBOLIC_BUDGET
-        )
-        if wide_original != wide_candidate:
+        wide = (-2 * radius,) * (g.dim + 1), (2 * radius,) * (g.dim + 1)
+        if not same_in_box(image, decomposition, *wide, SYMBOLIC_BUDGET):
             raise DecompositionError(
                 f"decomposition for target orbit {target} fails on the "
                 f"doubled box (radius {2 * radius})"

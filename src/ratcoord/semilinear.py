@@ -4,10 +4,10 @@ A linear set is ``{base + n_1*p_1 + ... + n_k*p_k : n_j in N}``; a semilinear
 set is a finite union of linear sets.  A linear set is unambiguous when every
 member has exactly one coefficient tuple.  The operations here are all exact
 and bounded: the members of a whole set in a box come from a bit-parallel
-sweep, counting and certification from a kernel that returns the
-multiplicity of every point of one linear set inside a box, and the
-disambiguation procedure is a restricted greedy search whose output is only
-ever returned together with a successful box certification.
+sweep, counting and ``validate_decomposition`` from a kernel that returns
+the multiplicity of every point of one linear set inside a box, and the
+disambiguation procedure is a restricted greedy search on the sweep's
+bitsets whose cover is certified on its box by construction.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class SemilinearSet:
     """Finite union of linear sets of one common dimension.
 
     ``certified`` means the parts are known pairwise disjoint and each
-    unambiguous over a verification box; it is set only by the validation
-    path, never by constructing the value.
+    unambiguous over a verification box; it is set only by ``disambiguate``
+    (and read back from JSON), never by constructing the value.
     """
 
     parts: tuple[LinearSet, ...]
@@ -340,29 +340,36 @@ def validate_decomposition(
     hi,
     budget: int = 5_000_000,
 ) -> bool:
-    """Box certification of a decomposition.
+    """Box certification of a decomposition by representation counts.
 
     True iff, inside the box: the candidate covers exactly the original's
     points, the candidate parts are pairwise disjoint, and every candidate
-    part represents each of its box points exactly once.
+    part represents each of its box points exactly once.  Each part is
+    counted in its own kernel call, which ``budget`` caps, so this is an
+    oracle independent of the grid that ``disambiguate`` certifies in.
     """
     lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
     orig_points = enumerate_in_box(original, lo, hi, budget)
-    return _certify(orig_points, candidate.parts, lo, hi, budget)
-
-
-def _certify(orig_points, parts, lo, hi, budget) -> bool:
-    """validate_decomposition against already enumerated original points.
-
-    Every box point has exactly one representation summed over the parts
-    iff the parts are unambiguous and pairwise disjoint in the box, and the
-    points must be the original's.  Each part is counted in its own kernel
-    call, which ``budget`` caps.
-    """
     counts: Counter = Counter()
-    for part in parts:
+    for part in candidate.parts:
         counts.update(_part_counts(part, lo, hi, budget))
     return counts.keys() == orig_points and all(c == 1 for c in counts.values())
+
+
+def same_in_box(a: SemilinearSet, b: SemilinearSet, lo, hi, budget: int) -> bool:
+    """True iff the sets have the same points in the box, which holds every base.
+
+    Both are swept in one ``_kernels.BoxGrid`` of their bases and periods,
+    which ``budget`` caps, and compared level by level.
+    """
+    a, b = ([(part.base, part.periods) for part in s.parts] for s in (a, b))
+    if not a + b:  # BoxGrid needs a base
+        return True
+    periods = {p for _, part_periods in a + b for p in part_periods}
+    weights = _positive_functional(tuple(periods), len(lo))
+    bases = [base for base, _ in a + b]
+    grid = _kernels.BoxGrid(bases, periods, lo, hi, weights, budget)
+    return _kernels.linear_sets_in_box(a, grid) == _kernels.linear_sets_in_box(b, grid)
 
 
 def _independent_subsets(universe, max_size):
@@ -382,27 +389,30 @@ def disambiguate(
     """Equivalent-on-box union of pairwise disjoint unambiguous linear sets.
 
     Restricted greedy search on one ``_kernels.BoxGrid`` of the box, the
-    bases and the periods: the input is swept into it as one bitset per
-    level, and its box points are walked in the grid's (level, bit) order,
-    the order of the functional, then of the point, with no sort.
-    Candidate parts are cones ``L(u; P)`` where u is the next uncovered
-    point and P is a linearly independent subset of the input's periods.
-    Every accepted candidate must have only uncovered points of the input
-    in the box, so a subset is tried only if each of its periods q has
-    u + q outside the box or uncovered; the other subsets contain an
-    inadmissible point.  The admissible cone with the most box points wins,
-    then the one with fewer periods, then the smaller periods.  Each
-    candidate cone is swept up from u in the grid, and it is admissible
-    iff no level has a cone bit that is not uncovered.  The result is
-    returned only when validate_decomposition certifies it; otherwise
-    DecompositionError is raised.
+    bases and the periods, where every set is one bitset per level.  The
+    input is swept into it and walked in (level, bit) order, the order of
+    the functional, then of the point.  Every period raises the level, so
+    each level's uncovered bits, decoded when the walk reaches it, are the
+    bases u of the chosen parts.  Candidate parts are cones ``L(u; P)``
+    with P a linearly independent subset of the input's periods.  Every
+    accepted candidate must have only uncovered points of the input in the
+    box, so a subset is tried only if each of its periods q has u + q
+    outside the box or uncovered; the other subsets contain an
+    inadmissible point.  The admissible cone with the most box points
+    wins, then the one with fewer periods, then the smaller periods.  Each
+    candidate cone is swept up from u in the grid, and it is admissible iff
+    no level has a cone bit that is not uncovered.  So the cover is
+    box-certified by construction: its cones are disjoint, unambiguous
+    (independent by rank) and leave nothing uncovered.  The input itself
+    is returned when its parts are independent and their popcounts, each
+    swept alone, add up to the input's: then they are pairwise disjoint.
 
     The verification box is ``[-r, r]^dim`` with r defaulting to four times
     the largest coordinate magnitude among bases and periods; an explicit
     ``box_radius`` is clamped up so the box always contains every base.
-    ``budget`` caps each certifying count and the grid at ``64 * budget``
-    bits; the grid is checked once, before the input is swept, so no
-    candidate is skipped for its size.
+    ``budget`` caps only the grid, at ``64 * budget`` bits; it is checked
+    once, before the input is swept, so no candidate is skipped for its
+    size.
     """
     parts = tuple(dict.fromkeys(s.parts))
     if not parts:
@@ -426,15 +436,16 @@ def disambiguate(
     grid = _kernels.BoxGrid(
         [part.base for part in parts], universe, lo, hi, weights, budget
     )
-    uncovered = _kernels.linear_sets_in_box(
-        [(part.base, part.periods) for part in parts], grid
-    )
-    points = list(grid.decode(uncovered))
-    orig_points = set(points)
+    pairs = [(part.base, part.periods) for part in parts]
+    uncovered = _kernels.linear_sets_in_box(pairs, grid)
 
-    # fast path: the input itself may already be certifiable
+    def popcount(levels):
+        return sum(map(int.bit_count, levels))
+
+    # fast path: independent parts that are pairwise disjoint in the box
     if all(rank(part.periods) == len(part.periods) for part in parts):
-        if _certify(orig_points, parts, lo, hi, budget):
+        sweeps = (_kernels.linear_sets_in_box([pair], grid) for pair in pairs)
+        if sum(map(popcount, sweeps)) == popcount(uncovered):
             return _mark_certified(SemilinearSet(parts))
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
@@ -455,13 +466,12 @@ def disambiguate(
                 continue
             cone = _kernels.linear_points_in_box(base, periods, grid)
             if list(map(and_, cone, uncovered)) == cone:
-                count = sum(map(int.bit_count, cone))
-                yield (-count, len(periods), periods), cone
+                yield (-popcount(cone), len(periods), periods), cone
 
     chosen: list[LinearSet] = []
-    for base in points:
-        if not is_uncovered(base):
-            continue
+    # decode reads a level of ``uncovered`` only when the walk reaches it,
+    # so the cones cleared in place below are never decoded
+    for base in grid.decode(uncovered):
         if len(chosen) >= 1000:
             raise DecompositionError("greedy cover exceeded 1000 parts")
         # only a step inside the box is looked up: it is a point of the grid,
@@ -473,11 +483,7 @@ def disambiguate(
         }
         (_, _, periods), cone = min(cones(base, admissible))
         chosen.append(LinearSet(base, periods))
-        uncovered = [u & ~c for u, c in zip(uncovered, cone)]
-    if not _certify(orig_points, chosen, lo, hi, budget):
-        raise DecompositionError(
-            "greedy cover failed box certification"
-        )
+        uncovered[:] = [u & ~c for u, c in zip(uncovered, cone)]
     return _mark_certified(SemilinearSet(tuple(chosen)))
 
 

@@ -19,6 +19,7 @@ from ratcoord import (
     nfa_to_json,
     build_coordination_nfa,
     canonical_edge_orbit,
+    cumulative_to_exact,
     parikh_image,
     parse_periodic_graph,
     pipeline_coordination_gf,
@@ -66,6 +67,29 @@ class TestPipeline:
             assert (
                 series_coeffs(report.gf_fit, 30) == list(report.bfs_sequence.values)
             ), name
+
+    def test_symbolic_path_stays_in_grids(self, square, monkeypatch):
+        # sql: neither the counts kernel nor enumerate_in_box, and per target
+        # one grid for disambiguate and one for the doubled-box check
+        import ratcoord.cli as cli
+        from ratcoord import _kernels, semilinear
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called off the grid path")
+
+        monkeypatch.setattr(_kernels, "linear_point_counts", forbidden)
+        monkeypatch.setattr(semilinear, "enumerate_in_box", forbidden)
+        monkeypatch.setattr(cli, "enumerate_in_box", forbidden)
+        grid_class, grids = _kernels.BoxGrid, []
+
+        def counted(*args):
+            grids.append(args)
+            return grid_class(*args)
+
+        monkeypatch.setattr(_kernels, "BoxGrid", counted)
+        gf = cli.symbolic_coordination_gf(square, 1)
+        assert cumulative_to_exact(gf) == SQUARE_GF
+        assert len(grids) == 2 * square.num_orbits
 
     def test_unknown_method(self, square):
         with pytest.raises(ValueError):
@@ -402,6 +426,7 @@ class TestDifferential:
     @settings(max_examples=60, deadline=None)
     @given(small_quotient_graphs())
     @example(parse_periodic_graph(SMALL_BOX_GRAPHS[0]))
+    @example(parse_periodic_graph("dim 1\nvertices 2\nedge 1 1 1\n"))  # empty image
     def test_symbolic_equals_bfs_or_fails_explicitly(self, g):
         # compare to twice the largest certification radius, the radius of
         # the doubled box the decomposition is checked on

@@ -30,7 +30,12 @@ from ratcoord import (
 )
 from ratcoord import _kernels
 from ratcoord._exactlinalg import rank
-from ratcoord.semilinear import _independent_subsets, _magnitude, _positive_functional
+from ratcoord.semilinear import (
+    _independent_subsets,
+    _magnitude,
+    _positive_functional,
+    same_in_box,
+)
 from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points
 
 A2 = AMBIGUOUS_EXAMPLE
@@ -347,6 +352,37 @@ class TestDisambiguate:
         assert disambiguate(SemilinearSet((A2,))).certified
         assert len(grids) == 1
 
+    def test_overlapping_independent_parts_are_split(self):
+        # each part has independent periods, but both hold the origin, so
+        # their popcounts add up to more than the union's
+        s = SemilinearSet(
+            (LinearSet((0, 0), ((1, 0),)), LinearSet((0, 0), ((0, 1),)))
+        )
+        d = disambiguate(s, box_radius=3)
+        assert d.parts != s.parts
+        assert validate_decomposition(s, d, (-3, -3), (3, 3))
+
+    def test_certified_in_the_grid_decoding_only_bases(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the counts kernel was called")
+
+        monkeypatch.setattr(_kernels, "linear_point_counts", forbidden)
+        decode, decoded = _kernels.BoxGrid.decode, []
+
+        def counted(grid, layers):
+            for point in decode(grid, layers):
+                decoded.append(point)
+                yield point
+
+        monkeypatch.setattr(_kernels.BoxGrid, "decode", counted)
+        d = disambiguate(SemilinearSet((A2,)))
+        assert d.certified
+        assert decoded == [part.base for part in d.parts]
+        # the fast path decodes nothing
+        s = SemilinearSet((LinearSet((0, 0), ((1, 0), (0, 1))),))
+        assert disambiguate(s).parts == s.parts
+        assert decoded == [part.base for part in d.parts]
+
     def test_parts_certified_unambiguous(self):
         d = disambiguate(SemilinearSet((A2,)))
         for part in d.parts:
@@ -374,6 +410,30 @@ class TestDisambiguate:
             LinearSet((2, -1), ((-1, 2), (2, 1))),
             LinearSet((2, 2), ((1, 1),)),
         )
+
+
+class TestSameInBox:
+    BOX = (-6, -6), (6, 6)
+    PAPER = SemilinearSet(
+        (
+            LinearSet((2, 2), ((2, 0), (0, 2))),
+            LinearSet((3, 3), ((2, 0), (0, 2))),
+        )
+    )
+
+    def test_equal_sets(self):
+        assert same_in_box(SemilinearSet((A2,)), self.PAPER, *self.BOX, 10**6)
+
+    def test_one_point_apart(self):
+        # A_FULL is A2 plus the origin
+        assert not same_in_box(A_FULL, self.PAPER, *self.BOX, 10**6)
+        assert not same_in_box(self.PAPER, A_FULL, *self.BOX, 10**6)
+
+    def test_empty_sets(self):
+        empty = SemilinearSet(())
+        assert same_in_box(empty, empty, *self.BOX, 10**6)
+        origin = SemilinearSet((LinearSet((0, 0)),))
+        assert not same_in_box(empty, origin, *self.BOX, 10**6)
 
 
 def _reference_cover(s, radius):
@@ -408,16 +468,11 @@ def _reference_cover(s, radius):
 
 
 def _same_cover(s, radius):
-    expected = _reference_cover(s, radius)
-    try:
-        got = disambiguate(s, box_radius=radius).parts
-    except DecompositionError:
-        # only a cover that fails certification may be refused
-        r = max(radius, _magnitude(s.parts) + 1)
-        box = (-r,) * s.dim, (r,) * s.dim
-        assert not validate_decomposition(s, SemilinearSet(expected), *box)
-        return
-    assert got == expected
+    got = disambiguate(s, box_radius=radius).parts
+    assert got == _reference_cover(s, radius)
+    # the counts kernel certifies what disambiguate certified in its grid
+    r = max(radius, _magnitude(s.parts) + 1)
+    assert validate_decomposition(s, SemilinearSet(got), (-r,) * s.dim, (r,) * s.dim)
 
 
 @st.composite

@@ -8,8 +8,9 @@ tree's package and calls ``ratcoord.cli.main``.  For each command the
 script prints whether stdout, stderr and the exit code are identical, the
 number of calls of ``_kernels.linear_points_in_box`` (the greedy's
 candidates) in each tree, and the wall seconds of each process.  The nets
-and frozen images are read from NEW_TREE; the kagome graph is written to a
-temporary directory.  The exit status is 1 when any command differs, 2 on a
+and frozen images are read from NEW_TREE; the kagome graph and a net whose
+second orbit the first cannot reach (an empty Parikh image) are written to
+a temporary directory.  The exit status is 1 when any command differs, 2 on a
 usage error, else 0.
 Standard library only.
 """
@@ -28,6 +29,7 @@ KAGOME = (
     "edge 1 2 0 0\nedge 1 2 -1 0\nedge 1 3 0 0\nedge 1 3 0 -1\n"
     "edge 2 3 0 0\nedge 2 3 1 -1\n"
 )
+UNREACHABLE = "dim 1\nvertices 2\nedge 1 1 1\n"
 
 # argv[1]: the tree's src directory; argv[2]: file for the call count;
 # the rest is the command line
@@ -51,12 +53,14 @@ sys.exit(code)
 """
 
 
-def gate_commands(nets, inputs, kagome):
+def gate_commands(nets, inputs, kagome, unreachable):
     """(label, argv) of every gate command."""
     commands = []
-    for name, origins in (("sql", 1), ("hcb", 2), ("hxl", 1), ("pcu", 1)):
+    verified = [(nets / f"{name}.graph", name, origins)
+                for name, origins in (("sql", 1), ("hcb", 2), ("hxl", 1), ("pcu", 1))]
+    for path, name, origins in verified + [(unreachable, "unreachable", 2)]:
         for origin in range(1, origins + 1):
-            argv = ["verify", str(nets / f"{name}.graph"), "--origin", str(origin)]
+            argv = ["verify", str(path), "--origin", str(origin)]
             commands.append((f"verify {name} {origin}", argv + ["--depth", "30", "--json"]))
     graphs = [(nets / f"{name}.graph", name, origins)
               for name, origins in (("dia", 2), ("bcu", 1), ("4off", 2))]
@@ -106,7 +110,11 @@ def main() -> int:
         scratch = Path(tmp)
         kagome = scratch / "kagome.graph"
         kagome.write_text(KAGOME, encoding="utf-8")
-        commands = gate_commands(new / "ratbench" / "nets", new / "ratbench" / "inputs", kagome)
+        unreachable = scratch / "unreachable.graph"
+        unreachable.write_text(UNREACHABLE, encoding="utf-8")
+        commands = gate_commands(
+            new / "ratbench" / "nets", new / "ratbench" / "inputs", kagome, unreachable
+        )
         print(f"{'command':<26} {'result':<28} {'calls old/new':>15} {'wall s old/new':>15}")
         for label, command in commands:
             before = run(old, command, scratch)
