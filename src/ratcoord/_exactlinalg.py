@@ -3,7 +3,10 @@
 Everything here works on sequences of ints or Fractions and never touches
 floating point.  Elimination runs on integers alone: rows are scaled to
 integers and kept primitive by gcd division, so no Fraction is built until
-a solution is returned.
+a solution is returned.  Only :func:`solve` and its callers
+(``genfunc.to_quasi_polynomial`` and :func:`solve_columns`) build
+Fractions; the recurrence fit of ``genfunc.fit_rational`` calls
+:func:`_eliminate` on its integer rows directly and builds none.
 """
 
 from __future__ import annotations

@@ -37,15 +37,18 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
     ``(origin_orbit, 0)``.  A layer is one integer per orbit, a bitset over
     cells: axis i has reach ``r_i = depth * max |offset_i|`` (no vertex
     within ``depth`` steps lies further out) and place value
-    ``prod_{j<i} (2 r_j + 1)``, and bit c is the cell whose mixed-radix
-    index is c.  An edge then shifts a whole layer by a constant; since no
-    coordinate within ``depth`` steps leaves its reach, no shift carries
-    one axis into the next.  In an undirected graph layer k + 1 is the
-    neighbourhood of layer k minus layers k and k - 1, so only three layers
-    are held; more than ``max_visited`` held vertices raise
-    BudgetExceeded.  So does a span of more than
-    ``64 * max_visited`` bits over all orbits, before any layer is built:
-    a layer then costs at most 8 bytes per budgeted vertex.
+    ``prod_{j<i} (2 r_j + 1)``, and cell c is the one whose mixed-radix
+    index is c.  An edge then moves a whole layer by a constant step; since
+    no coordinate within ``depth`` steps leaves its reach, no step carries
+    one axis into the next.  With S the largest |step|, layer k lies within
+    k * S of the origin's index, so bit j of its integer is cell
+    ``origin - k * S + j``: each integer holds only the 2kS + 1 cells layer
+    k can span, and a move into layer k + 1 is a left shift by step + S.
+    In an undirected graph layer k + 1 is the neighbourhood of layer k
+    minus layers k and k - 1, so only three layers are held; more than
+    ``max_visited`` held vertices raise BudgetExceeded.  So does a span of
+    more than ``64 * max_visited`` bits over all orbits, before any layer
+    is built: a layer then costs at most 8 bytes per budgeted vertex.
     """
     orbits = len(neighbor_specs)
     reaches = [
@@ -64,21 +67,26 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
         [(target, sum(map(mul, offset, places))) for target, offset in spec]
         for spec in neighbor_specs
     ]
+    max_step = max((abs(step) for spec in steps for _, step in spec), default=0)
+    shifts = [[(target, step + max_step) for target, step in spec] for spec in steps]
     previous = [0] * orbits
     current = [0] * orbits
-    current[origin_orbit] = 1 << sum(map(mul, reaches, places))
+    current[origin_orbit] = 1
     counts = [1]
     for _ in range(depth):
-        nxt = [0] * orbits
-        for layer, spec in zip(current, steps):
-            for target, step in spec:
-                nxt[target] |= layer << step if step >= 0 else layer >> -step
-        nxt = [n & ~(c | p) for n, c, p in zip(nxt, current, previous)]
-        size = sum(n.bit_count() for n in nxt)
+        # layers k and k - 1 in the frame of layer k + 1, the bits not new
+        seen = [(c | p << max_step) << max_step for c, p in zip(current, previous)]
+        previous, nxt = current, list(seen)
+        for layer, spec in zip(current, shifts):
+            for target, shift in spec:
+                nxt[target] |= layer << shift
+        for i, s in enumerate(seen):
+            nxt[i] ^= s
+        current = nxt
+        size = sum(n.bit_count() for n in current)
         if sum(counts[-2:]) + size > max_visited:
             raise BudgetExceeded(f"BFS held more than {max_visited} cover vertices")
         counts.append(size)
-        previous, current = current, nxt
     return counts
 
 

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exactlinalg import solve
+from ._exactlinalg import _eliminate, solve
 from .semilinear import LinearSet
 
 
@@ -120,16 +120,16 @@ class RationalGF:
     Canonical form: numerator and denominator are coprime integer
     polynomials with coprime contents, and the denominator has constant term
     +1 (so the value is an integer power series and two equal values have
-    identical tuples).  Rational input is scaled to integers once; the
-    common factor is removed by an exact integer division by the primitive
-    gcd.
+    identical tuples).  Rational input is scaled to integers once (integer
+    input builds no Fraction); the common factor is removed by an exact
+    integer division by the primitive gcd.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(1,)):
-        num = _trim(Fraction(x) for x in num)
-        den = _trim(Fraction(x) for x in den)
+        num = _trim(x if type(x) is int else Fraction(x) for x in num)
+        den = _trim(x if type(x) is int else Fraction(x) for x in den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         scale = math.lcm(*(x.denominator for x in num + den))
@@ -231,10 +231,18 @@ def gf_unambiguous_linear(l: LinearSet, i: int) -> RationalGF:
 
 
 def _solve_recurrence(prefix, t, start, stop):
-    """:func:`solve` for b with ``prefix[k] = sum_i b_i * prefix[k - i]``,
-    i = 1..t, at every k in ``[start, stop)``."""
-    rows = [[prefix[k - i] for i in range(1, t + 1)] for k in range(start, stop)]
-    return solve(rows, prefix[start:stop])
+    """Eliminated integer rows ``[prefix[k - 1], ..., prefix[k - t],
+    prefix[k]]`` of ``prefix[k] = sum_i b_i * prefix[k - i]``, i = 1..t, at
+    every k in ``[start, stop)``, and their pivot columns; None when the
+    system is inconsistent (a row without a pivot keeps a nonzero right-hand
+    side)."""
+    rows = [
+        [prefix[k - i] for i in (*range(1, t + 1), 0)] for k in range(start, stop)
+    ]
+    pivots = _eliminate(rows, t)
+    if any(row[t] for row in rows[len(pivots):]):
+        return None
+    return rows, pivots
 
 
 def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
@@ -246,10 +254,14 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     whole prefix must be reproduced.  The last ``verify_window`` entries are
     excluded from every solve and only checked, so they are predictions.
 
-    For t > 0 the equations for start s are those for start s - 1 minus one,
-    so a start whose system is consistent stays consistent at every later
-    start: the consistent starts form a suffix of ``[t, fit_end - t]``.  The
-    first of them is found by bisection, and the scan begins there.
+    The equations for start s are those for start s - 1 minus one, so a
+    start whose system is consistent stays consistent at every later start:
+    the consistent starts form a suffix of ``[t, fit_end - t]``.  The first
+    of them is found by bisection, and the scan begins there.  Everything
+    stays in integers: the coefficients b_col = row[t] / row[col] of the
+    pivot rows (free ones 0) give the denominator ``1 - sum_i b_i z^i``
+    scaled by the lcm of the pivots, and the canonical form does not depend
+    on that scale.
     """
     prefix = list(prefix)
     if any(int(v) != v for v in prefix):
@@ -265,25 +277,22 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     fit_end = n - verify_window
     # orders the data cannot support (fewer than 2t fitted terms) are skipped
     for t in range(min(max_order, fit_end // 2) + 1):
-        first = t
-        if t > 0:  # the starts sort as inconsistent (False) before consistent
-            first += bisect_left(
-                range(t, fit_end - t + 1),
-                True,
-                key=lambda s: _solve_recurrence(prefix, t, s, fit_end) is not None,
-            )
-        for start in range(first, fit_end + 1):
-            if t > 0 and fit_end - start < t:
-                break  # not enough equations to pin the coefficients down
-            solution = (
-                _solve_recurrence(prefix, t, start, fit_end) if t > 0 else ([], [])
-            )
+        # the starts sort as inconsistent (False) before consistent
+        first = t + bisect_left(
+            range(t, fit_end - t + 1),
+            True,
+            key=lambda s: _solve_recurrence(prefix, t, s, fit_end) is not None,
+        )
+        # from fit_end - t + 1 on, too few equations pin the coefficients down
+        for start in range(first, fit_end - t + 1):
+            solution = _solve_recurrence(prefix, t, start, fit_end)
             if solution is None:
                 continue
-            if t == 0 and any(v != 0 for v in prefix[start:fit_end]):
-                continue
-            b = solution[0]
-            den = [Fraction(1)] + [-bi for bi in b]
+            rows, pivots = solution
+            scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
+            den = [scale] + [0] * t
+            for row, col in zip(rows, pivots):
+                den[col + 1] = -row[t] * (scale // row[col])
             num = [
                 sum(den[j] * prefix[k - j] for j in range(min(k, t) + 1))
                 for k in range(start)
@@ -319,16 +328,28 @@ class QuasiPolynomial:
 
 
 def _denominator_period(den, cap):
-    """Smallest P <= cap with den | (1 - z^P)^deg(den), or None.  Residues
-    are primitive pseudo-remainders: exact up to a nonzero integer factor."""
-    for period in range(1, cap + 1):
-        base = _primitive(_prem((1,) + (0,) * (period - 1) + (-1,), den))
-        power = (1,)
-        for _ in range(len(den) - 1):
-            power = _primitive(_prem(_pmul(power, base), den))
-        if not power:
-            return period
-    return None
+    """Smallest P <= cap with den | (1 - z^P)^deg(den), or None.
+
+    Such a P exists iff den is a constant times a product of cyclotomic
+    polynomials Phi_n, and since 1 - z^P is the squarefree product of Phi_n
+    over n | P, the smallest is the lcm of their orders n.  Phi_n has degree
+    phi(n) >= sqrt(n / 2), so only the orders n <= cap with phi(n) at most
+    the degree still left are tried; Phi_n is (1 - z^n) divided by Phi_d
+    over the proper divisors d of n, which were all tried before it."""
+    rest, period, cyclotomic = den, 1, {}
+    for n in range(1, cap + 1):
+        if n > 2 * (len(rest) - 1) ** 2:
+            break
+        if sum(math.gcd(k, n) == 1 for k in range(n)) >= len(rest):
+            continue
+        phi = (1,) + (0,) * (n - 1) + (-1,)
+        for d in range(1, n):
+            if n % d == 0:
+                phi = _pdiv(phi, cyclotomic[d])
+        cyclotomic[n] = phi
+        while not _prem(rest, phi):
+            rest, period = _pdiv(rest, phi), math.lcm(period, n)
+    return period if len(rest) == 1 and period <= cap else None
 
 
 def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial:

@@ -214,9 +214,11 @@ def bfs_coordination(
     Counts cover vertices at each exact distance 0..depth from
     ``(origin_orbit, 0)``.  Holding more than ``max_visited`` cover vertices
     in the previous, current and next layer raises BudgetExceeded.  The
-    layers are bitsets over every cell within ``depth`` steps, so
+    layers are bitsets over the cells within ``depth`` steps, so
     ``max_visited`` also bounds their span: more than ``64 * max_visited``
     bits over all orbits raise BudgetExceeded before the search starts.
+    Each layer holds only the bits it can reach (see
+    ``_kernels.bfs_layer_counts``).
     """
     if not (1 <= origin_orbit <= g.num_orbits):
         raise ValueError(f"orbit index {origin_orbit} out of range")

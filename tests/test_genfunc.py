@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ratcoord import (
     to_quasi_polynomial,
 )
 from ratcoord._exactlinalg import solve
+from ratcoord.genfunc import _denominator_period, _pmul, _prem, _primitive
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
@@ -232,6 +234,28 @@ class TestFit:
         assert fit_rational(prefix, 2, 2) == RationalGF((1,), (1, -1))
 
 
+# cyclotomic polynomials Phi_1, Phi_2, Phi_3, Phi_4, Phi_6, Phi_12, the
+# products 1 - z^5 and 1 + z^3, and factors with a pole off the unit circle
+PERIOD_FACTORS = [
+    (1, -1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 0, -1, 0, 1),
+    (1, 0, 0, 0, 0, -1), (1, 0, 0, 1),
+    (1, -1, -1), (1, -2), (2, 1), (1, 1, 2), (3, 0, 1),
+]
+
+
+def _period_by_search(den, cap):
+    """Smallest P <= cap with den | (1 - z^P)^deg(den), by trying every P:
+    the reference for the cyclotomic-factor search."""
+    for period in range(1, cap + 1):
+        base = _primitive(_prem((1,) + (0,) * (period - 1) + (-1,), den))
+        power = (1,)
+        for _ in range(len(den) - 1):
+            power = _primitive(_prem(_pmul(power, base), den))
+        if not power:
+            return period
+    return None
+
+
 class TestQuasiPolynomial:
     def test_square(self):
         qp = to_quasi_polynomial(SQUARE_GF)
@@ -253,6 +277,27 @@ class TestQuasiPolynomial:
     def test_golden_ratio_pole_rejected(self, den):
         with pytest.raises(NotQuasiPolynomialError):
             to_quasi_polynomial(RationalGF((0, 1), den))
+
+    def test_cyclotomic_search_is_fast(self):
+        # (1 - z - z^2) * prod_{e=3..9} (1 - z^e), degree 44: no period fits
+        den = (1, -1, -1)
+        for e in range(3, 10):
+            den = _times(den, [1] + [0] * (e - 1) + [-1])
+        start = time.perf_counter()
+        with pytest.raises(NotQuasiPolynomialError):
+            to_quasi_polynomial(RationalGF((1,), den))
+        assert time.perf_counter() - start < 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(PERIOD_FACTORS), min_size=1, max_size=4),
+           st.integers(1, 40))
+    @example([(1, 0, 1), (1, 1, 1)], 11)  # lcm(4, 3) = 12 exceeds the cap
+    @example([(1, -1, -1), (1, -1)], 40)
+    def test_denominator_period_matches_search(self, factors, cap):
+        den = (1,)
+        for factor in factors:
+            den = tuple(_times(den, factor))
+        assert _denominator_period(den, cap) == _period_by_search(den, cap)
 
     def test_evaluation_matches_series(self, gf_corpus):
         for q in gf_corpus:
@@ -357,6 +402,11 @@ class TestFitAgainstLinearScan:
     )
     @example([1, 1, 1], 1, 1)  # the one start for t = 1 is the last one
     @example([3, 0, 1, 1, 2, 3, 5, 8, 13, 21], 4, 2)
+    # t = 2, start 2: column 1 pivots and column 0 is free
+    @example([1, 0, 0, 0, 5], 2, 1)
+    # t = 1 is first consistent at start 3 with b = 1/3, so the integer
+    # denominator is scaled by 3 (and rejected); t = 2 fits
+    @example([1, -1, -3, -1, 5], 5, 1)
     def test_fit_matches_linear_scan(self, prefix, max_order, verify_window):
         assert _fit_outcome(
             fit_rational, prefix, max_order, verify_window

@@ -154,10 +154,33 @@ class TestBfs:
         ids=["pcu", "dia", "bcu"],
     )
     def test_literature_closed_forms(self, text, shell):
+        # layer k is held shifted by k times the largest step, so go deep
         g = parse_periodic_graph(text)
-        expected = (1,) + tuple(shell(k) for k in range(1, 31))
+        expected = (1,) + tuple(shell(k) for k in range(1, 61))
         for origin in range(1, g.num_orbits + 1):
-            assert bfs_coordination(g, origin, 30).values == expected
+            assert bfs_coordination(g, origin, 60).values == expected
+
+    @pytest.mark.parametrize(
+        "text,origin",
+        [
+            # only inter-orbit edges at offset zero: the largest step is 0
+            ("dim 2\nvertices 3\nedge 1 2 0 0\nedge 2 3 0 0\n", 1),
+            ("dim 2\nvertices 3\nedge 1 2 0 0\nedge 2 3 0 0\n", 2),
+            # the origin orbit has no edge; the other orbits move far
+            ("dim 1\nvertices 2\nedge 2 2 3\n", 1),
+            ("dim 2\nvertices 3\nedge 2 2 3 0\nedge 2 3 0 -2\n", 1),
+            # the origin's only edge goes to another orbit at offset zero
+            ("dim 2\nvertices 2\nedge 1 2 0 0\nedge 2 2 3 1\n", 1),
+        ],
+        ids=[
+            "zero_step_1", "zero_step_2", "edgeless_origin_1d",
+            "edgeless_origin_2d", "origin_without_own_step",
+        ],
+    )
+    def test_unmoving_origin_matches_plain_bfs(self, text, origin):
+        g = parse_periodic_graph(text)
+        start = CoverVertex(origin, (0,) * g.dim)
+        assert bfs_coordination(g, origin, 6).values == _plain_bfs(g, start, 6)
 
     def test_sequence_type_invariant(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,10 @@ def gate_commands(nets, inputs, kagome, unreachable):
     for name in ("pcu", "dia", "bcu"):  # the bfs_deep workload's fits
         argv = ["gf", "--method", "fit", str(nets / f"{name}.graph"), "--origin", "1"]
         commands.append((f"gf fit {name} 60", argv + ["--depth", "60", "--json"]))
+    for path, name, origins in graphs + [(kagome, "kagome", 3)]:  # the BFS kernel
+        for origin in range(1, origins + 1):
+            argv = ["bfs", str(path), "--origin", str(origin), "--depth", "60", "--json"]
+            commands.append((f"bfs {name} {origin} 60", argv))
     for target in (1, 2):
         path = inputs / f"4off_target{target}.json"
         image = json.loads(path.read_text(encoding="utf-8"))
