@@ -56,7 +56,6 @@ from .semilinear import (
     LinearSet,
     SemilinearSet,
     Unambiguous,
-    Unknown,
     check_unambiguous,
     count_representations,
     disambiguate,
@@ -92,7 +91,6 @@ __all__ = [
     "RationalGF",
     "SemilinearSet",
     "Unambiguous",
-    "Unknown",
     "VectorNFA",
     "bfs_coordination",
     "build_coordination_nfa",

@@ -1,12 +1,10 @@
 """Small exact linear-algebra helpers over the rationals.
 
-Everything here works on sequences of ints or Fractions and never touches
-floating point.  Elimination runs on integers alone: rows are scaled to
-integers and kept primitive by gcd division, so no Fraction is built until
-a solution is returned.  Only :func:`solve` and its callers
-(``genfunc.to_quasi_polynomial`` and :func:`solve_columns`) build
-Fractions; the recurrence fit of ``genfunc.fit_rational`` calls
-:func:`_eliminate` on its integer rows directly and builds none.
+No floating point anywhere.  One fraction-free elimination by rows,
+:func:`_eliminate`, serves :func:`rank`, :func:`solve`, the recurrence fit
+of ``genfunc.fit_rational`` and ``semilinear.check_unambiguous``; the last
+two read an integer kernel vector off its pivot rows (:func:`_null_vector`).
+Only :func:`solve` builds Fractions.
 """
 
 from __future__ import annotations
@@ -15,40 +13,69 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _eliminate(rows, ncols) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+def integral(values, what: str = "coordinates") -> tuple[int, ...]:
+    """``values`` as ints; ValueError if some ``int(x) != x`` (2.0 passes)."""
+    values = tuple(values)
+    out = tuple(map(int, values))
+    if out != values:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return out
 
-    Each pivot clears its column (among the first ``ncols``) from every
-    other row by integer cross-multiplication, and each new row is divided
-    by the gcd of its entries.  Every row stays a nonzero multiple of the
-    row that elimination over the Fractions would hold, so the pivot
-    columns, which are returned, are the same; row i holds pivot i.
+
+def _clear(row, pivot, col):
+    """Integer combination of ``row`` and ``pivot`` that is zero at ``col``,
+    divided by the gcd of its entries."""
+    a, b = pivot[col], row[col]
+    row = [a * x - b * y for x, y in zip(row, pivot)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(rows, ncols) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, by rows, in place.
+
+    Each row is reduced by the pivot rows before it; its first nonzero
+    column among the first ``ncols`` becomes a pivot and is cleared from
+    them.  Row j ends up holding pivot j, a multiple of a row of the reduced
+    row echelon form, so the pivots are the RREF's whatever the row order.
+    Returns ``(pivots, stop)``: elimination stops at the first row left zero
+    on the first ``ncols`` columns but not beyond them (an inconsistent
+    equation), stop is its index or ``len(rows)``.
     """
     pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
+    for i, row in enumerate(rows):
+        for pivot, col in zip(rows, pivots):
+            if row[col]:
+                row = _clear(row, pivot, col)
+        col = next(filter(row.__getitem__, range(ncols)), None)
+        if col is None:
+            if any(row[ncols:]):
+                return pivots, i
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        a = pivot[col]
-        for i, row in enumerate(rows):
-            b = row[col]
-            if b and i != r:
-                row = [a * x - b * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+        for j, pivot in enumerate(rows[: len(pivots)]):
+            if pivot[col]:
+                rows[j] = _clear(pivot, row, col)
+        rows[len(pivots)] = row
         pivots.append(col)
-    return pivots
+    return pivots, len(rows)
+
+
+def _null_vector(rows, pivots, col) -> list[int]:
+    """Kernel vector of rows eliminated by :func:`_eliminate` with ``col``
+    free: ``x[col]`` is the lcm L of the pivots, pivot column c of row j
+    holds ``-row[col] * L / row[c]`` and every other column 0."""
+    scale = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    x = [0] * len(rows[0])
+    x[col] = scale
+    for row, c in zip(rows, pivots):
+        x[c] = -row[col] * (scale // row[c])
+    return x
 
 
 def rank(vectors) -> int:
     """Rank over the rationals of a list of integer vectors."""
-    rows = [list(vec) for vec in vectors]
-    return len(_eliminate(rows, len(rows[0]) if rows else 0))
+    rows = list(vectors)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def solve(matrix, rhs):
@@ -70,8 +97,8 @@ def solve(matrix, rhs):
         row = [*row, b]
         scale = lcm(*(v.denominator for v in row))
         m.append([int(v * scale) for v in row])
-    pivots = _eliminate(m, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
+    pivots, stop = _eliminate(m, ncols)
+    if stop < len(m):
         return None
     sol = [Fraction(0)] * ncols
     for row, col in zip(m, pivots):
@@ -79,14 +106,3 @@ def solve(matrix, rhs):
     free = [c for c in range(ncols) if c not in pivots]
     return sol, free
 
-
-def solve_columns(columns, target):
-    """Solve ``sum_j x_j * columns[j] = target`` exactly over the rationals.
-
-    Same return convention as :func:`solve`.
-    """
-    if not columns:
-        return ([], []) if all(t == 0 for t in target) else None
-    dim = len(columns[0])
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(dim)]
-    return solve(matrix, list(target))

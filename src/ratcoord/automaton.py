@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from operator import add
 
 from . import _kernels
+from ._exactlinalg import integral
 from .errors import BudgetExceeded
 from .periodic_graph import PeriodicGraph, _neighbor_specs
 from .semilinear import LinearSet, SemilinearSet, _positive_functional
@@ -55,7 +56,7 @@ class VectorNFA:
                 raise ValueError(f"state {state} out of range")
         normalized = []
         for source, output, target in self.transitions:
-            output = tuple(int(x) for x in output)
+            output = integral(output, "outputs")
             if len(output) != self.out_dim:
                 raise ValueError(f"output {output} has wrong arity")
             if not (1 <= source <= self.num_states and 1 <= target <= self.num_states):

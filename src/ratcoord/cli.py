@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .automaton import VectorNFA, build_coordination_nfa, parikh_image, run_parikh_oracle
 from .errors import BudgetExceeded, DecompositionError
@@ -334,6 +335,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+@cache  # parse_args does not mutate it, so in-process calls share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratcoord",
@@ -384,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, json.JSONDecodeError, OSError, ValueError) as exc:

@@ -11,11 +11,10 @@ arithmetic stays in Z[z]; no floating point is used anywhere.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exactlinalg import _eliminate, solve
+from ._exactlinalg import _eliminate, _null_vector, integral, solve
 from .semilinear import LinearSet
 
 
@@ -230,21 +229,6 @@ def gf_unambiguous_linear(l: LinearSet, i: int) -> RationalGF:
     return RationalGF(num, den)
 
 
-def _solve_recurrence(prefix, t, start, stop):
-    """Eliminated integer rows ``[prefix[k - 1], ..., prefix[k - t],
-    prefix[k]]`` of ``prefix[k] = sum_i b_i * prefix[k - i]``, i = 1..t, at
-    every k in ``[start, stop)``, and their pivot columns; None when the
-    system is inconsistent (a row without a pivot keeps a nonzero right-hand
-    side)."""
-    rows = [
-        [prefix[k - i] for i in (*range(1, t + 1), 0)] for k in range(start, stop)
-    ]
-    pivots = _eliminate(rows, t)
-    if any(row[t] for row in rows[len(pivots):]):
-        return None
-    return rows, pivots
-
-
 def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     """Minimal-order rational function whose expansion matches the prefix.
 
@@ -254,19 +238,17 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     whole prefix must be reproduced.  The last ``verify_window`` entries are
     excluded from every solve and only checked, so they are predictions.
 
-    The equations for start s are those for start s - 1 minus one, so a
-    start whose system is consistent stays consistent at every later start:
-    the consistent starts form a suffix of ``[t, fit_end - t]``.  The first
-    of them is found by bisection, and the scan begins there.  Everything
-    stays in integers: the coefficients b_col = row[t] / row[col] of the
-    pivot rows (free ones 0) give the denominator ``1 - sum_i b_i z^i``
-    scaled by the lcm of the pivots, and the canonical form does not depend
-    on that scale.
+    The system for start s is that for s + 1 plus the equation at s, so one
+    elimination per order adds the equations from ``fit_end - 1`` down and
+    stops at the last inconsistent start; only the start after it is tried.
+    A later start with as many pivots gives the same candidate.  One with
+    fewer pivots leaves the recurrence states in a proper subspace, so a
+    candidate of it that explained the prefix would also satisfy a
+    recurrence of lower order, which would have returned it.  The
+    denominator is the integer kernel vector of the augmented pivot rows
+    (scaled by the lcm of the pivots), so the fit builds no Fraction.
     """
-    prefix = list(prefix)
-    if any(int(v) != v for v in prefix):
-        raise ValueError("prefix terms must be integers")
-    prefix = [int(v) for v in prefix]
+    prefix = list(integral(prefix, "prefix terms"))
     n = len(prefix)
     if verify_window < 0 or max_order < 0:
         raise ValueError("max_order and verify_window must be nonnegative")
@@ -277,32 +259,28 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
     fit_end = n - verify_window
     # orders the data cannot support (fewer than 2t fitted terms) are skipped
     for t in range(min(max_order, fit_end // 2) + 1):
-        # the starts sort as inconsistent (False) before consistent
-        first = t + bisect_left(
-            range(t, fit_end - t + 1),
-            True,
-            key=lambda s: _solve_recurrence(prefix, t, s, fit_end) is not None,
-        )
+        # the equation prefix[k] = sum_i b_i * prefix[k - i], i = 1..t
+        rows = [
+            [prefix[k - i] for i in (*range(1, t + 1), 0)]
+            for k in range(fit_end - 1, t - 1, -1)
+        ]
+        pivots, stop = _eliminate(rows, t)
+        start = fit_end - stop
         # from fit_end - t + 1 on, too few equations pin the coefficients down
-        for start in range(first, fit_end - t + 1):
-            solution = _solve_recurrence(prefix, t, start, fit_end)
-            if solution is None:
-                continue
-            rows, pivots = solution
-            scale = math.lcm(*(row[col] for row, col in zip(rows, pivots)))
-            den = [scale] + [0] * t
-            for row, col in zip(rows, pivots):
-                den[col + 1] = -row[t] * (scale // row[col])
-            num = [
-                sum(den[j] * prefix[k - j] for j in range(min(k, t) + 1))
-                for k in range(start)
-            ]
-            try:
-                candidate = RationalGF(num, den)
-            except ValueError:
-                continue
-            if series_coeffs(candidate, n - 1) == prefix:
-                return candidate
+        if start > fit_end - t:
+            continue
+        kernel = _null_vector(rows, pivots, t)
+        den = kernel[t:] + kernel[:t]
+        num = [
+            sum(den[j] * prefix[k - j] for j in range(min(k, t) + 1))
+            for k in range(start)
+        ]
+        try:
+            candidate = RationalGF(num, den)
+        except ValueError:
+            continue
+        if series_coeffs(candidate, n - 1) == prefix:
+            return candidate
     raise ValueError(
         f"no rational function of order <= {max_order} explains the prefix"
     )

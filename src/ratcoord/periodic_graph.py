@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels
+from ._exactlinalg import integral
 
 
 class ParseError(ValueError):
@@ -40,9 +41,9 @@ def canonical_edge_orbit(source: int, target: int, offset) -> EdgeOrbit:
 
     Canonical means ``source < target``, or ``source == target`` with the
     offset lexicographically positive.  A self-edge with zero offset is not a
-    graph edge and is rejected.
+    graph edge and is rejected, as is an offset that is not integral.
     """
-    offset = tuple(int(x) for x in offset)
+    offset = integral(offset, "offset coordinates")
     if source == target:
         if all(x == 0 for x in offset):
             raise ValueError("self-edge with zero offset")
@@ -103,9 +104,9 @@ class CoordinationSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(int(v) != v for v in self.values):
-            raise ValueError("coordination counts must be integers")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(
+            self, "values", integral(self.values, "coordination counts")
+        )
         if any(v < 0 for v in self.values):
             raise ValueError("coordination counts must be nonnegative")
         if self.values and self.values[0] != 1:

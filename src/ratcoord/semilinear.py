@@ -17,10 +17,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from operator import add, and_
 
 from . import _kernels
-from ._exactlinalg import rank, solve_columns
+from ._exactlinalg import _eliminate, _null_vector, integral, rank, solve
 from .errors import BudgetExceeded, DecompositionError
 
 
@@ -30,7 +31,8 @@ class LinearSet:
 
     Zero periods and duplicate periods are dropped at construction (either
     makes unambiguity impossible) and recorded in ``stripped_periods`` so the
-    normalization is visible to callers.
+    normalization is visible to callers.  A coordinate that is not integral
+    raises ValueError.
     """
 
     base: tuple[int, ...]
@@ -40,12 +42,12 @@ class LinearSet:
     )
 
     def __post_init__(self):
-        base = tuple(map(int, self.base))
+        base = integral(self.base)
         object.__setattr__(self, "base", base)
         kept: dict[tuple[int, ...], None] = {}  # insertion-ordered set
         stripped: list[tuple[int, ...]] = []
         for period in self.periods:
-            period = tuple(map(int, period))
+            period = integral(period)
             if len(period) != len(base):
                 raise ValueError(
                     f"period {period} has wrong dimension (base is {base})"
@@ -108,11 +110,6 @@ class AmbiguousWitness:
     point: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Unknown:
-    """Search exhausted the box or budget without a verdict."""
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -169,11 +166,11 @@ def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     exceeding it raises BudgetExceeded.
     """
     _check_dim(l, v)
-    v = tuple(int(x) for x in v)
+    v = integral(v)
     w = _positive_functional(l.periods, l.dim)
     # more periods than coordinates are dependent, so there is no shortcut
     if w is None or len(l.periods) <= l.dim:
-        relaxed = solve_columns(l.periods, [a - b for a, b in zip(v, l.base)])
+        relaxed = solve(list(zip(*l.periods)), [a - b for a, b in zip(v, l.base)])
         if relaxed is None:
             return 0
         solution, free = relaxed
@@ -215,7 +212,7 @@ def member(s: SemilinearSet, v, budget: int = 1_000_000) -> bool:
     combination, which no count bounds, so they are searched by point.
     """
     _check_dim(s, v)
-    v = tuple(int(x) for x in v)
+    v = integral(v)
     return any(
         count_representations(part, v, budget=budget) >= 1
         if _positive_functional(part.periods, part.dim) is not None
@@ -252,7 +249,7 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     (-5, -4, -1, 2)..(-4, 0, 2, 4) raises BudgetExceeded at budget 10**6,
     where ``_kernels.linear_point_counts`` finds no point.
     """
-    lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
+    lo, hi = integral(lo), integral(hi)
     _check_dim(s, lo)
     _check_dim(s, hi)
     if any(a > b for a, b in zip(lo, hi)):
@@ -302,32 +299,29 @@ def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # unambiguity
 
-def check_unambiguous(l: LinearSet, box_radius: int | None = None, budget: int = 1_000_000):
-    """Decide unambiguity of one linear set.
+def check_unambiguous(l: LinearSet):
+    """Decide unambiguity of one linear set exactly.
 
-    Linearly independent periods are certified directly (exact rank over the
-    rationals).  Otherwise the box of the given radius around the base is
-    searched for a point with two representations; the smallest witness is
-    returned, and exhausting the box or the budget yields Unknown.
+    A linear set is unambiguous iff its periods are linearly independent
+    (Ito, JCSS 1969): an integer kernel vector z of the periods gives two
+    coefficient tuples, z+ and z-, of ``base + P z+``, the witness for the
+    primitive z of the first free column.  With a one-dimensional kernel
+    every ambiguous point is the witness plus a sum of periods, so under
+    any positive functional the witness is the smallest.
     """
     k = len(l.periods)
-    if k == 0 or rank(l.periods) == k:
+    rows = list(zip(*l.periods))
+    pivots, _ = _eliminate(rows, k)
+    free = next((c for c in range(k) if c not in pivots), None)
+    if free is None:
         return Unambiguous()
-    radius = box_radius if box_radius is not None else 4 * _magnitude([l])
-    lo = tuple(b - radius for b in l.base)
-    hi = tuple(b + radius for b in l.base)
-    try:
-        counts = _part_counts(l, lo, hi, budget)
-    except BudgetExceeded:
-        return Unknown()
-    witnesses = [point for point, c in counts.items() if c >= 2]
-    if not witnesses:
-        return Unknown()
-    w = _positive_functional(l.periods, l.dim) or (0,) * l.dim
-    witness = min(
-        witnesses, key=lambda p: (sum(a * b for a, b in zip(w, p)), p)
-    )
-    return AmbiguousWitness(witness)
+    z = _null_vector(rows, pivots, free)
+    g = gcd(*z)
+    point = l.base
+    for coeff, period in zip(z, l.periods):
+        if coeff > 0:
+            point = tuple(x + coeff // g * p for x, p in zip(point, period))
+    return AmbiguousWitness(point)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +342,7 @@ def validate_decomposition(
     counted in its own kernel call, which ``budget`` caps, so this is an
     oracle independent of the grid that ``disambiguate`` certifies in.
     """
-    lo, hi = tuple(int(x) for x in lo), tuple(int(x) for x in hi)
+    lo, hi = integral(lo), integral(hi)
     orig_points = enumerate_in_box(original, lo, hi, budget)
     counts: Counter = Counter()
     for part in candidate.parts:

@@ -36,6 +36,12 @@ class TestVectorNFA:
         )
         assert a.distinct_transitions == ((1, (1,), 1),)
 
+    def test_nonintegral_output_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            VectorNFA(1, 1, frozenset({1}), frozenset({1}), ((1, (0.7,), 1),))
+        a = VectorNFA(1, 1, frozenset({1}), frozenset({1}), ((1, (2.0,), 1),))
+        assert a.transitions == ((1, (2,), 1),)
+
 
 class TestBuildCoordinationNfa:
     def test_square(self, square):

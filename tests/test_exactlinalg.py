@@ -1,11 +1,12 @@
-"""Fraction-free ``rank`` and ``solve`` against Gauss-Jordan over Fractions."""
+"""Fraction-free ``rank`` and ``solve`` against Gauss-Jordan over Fractions,
+and the row-order properties of ``_eliminate`` that the recurrence fit uses."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratcoord._exactlinalg import rank, solve
+from ratcoord._exactlinalg import _eliminate, _null_vector, rank, solve
 
 
 def _echelonize(m, ncols):
@@ -105,3 +106,53 @@ def test_solve_matches_fraction_elimination(system):
     assert got == expected
     if got is not None:
         assert all(type(x) is Fraction for x in got[0])
+
+
+@st.composite
+def reordered_systems(draw):
+    matrix, rhs = draw(linear_systems())
+    order = draw(st.permutations(range(len(matrix))))
+    return matrix, rhs, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_systems())
+@example(([[0, 1], [1, 0]], [2, 3], [1, 0]))  # pivots found in the other order
+@example(([[1, 2, 3], [0, 0, 1], [1, 2, 4]], [4, 5, 9], [2, 1, 0]))
+def test_row_order_changes_neither_pivots_nor_solution(system):
+    matrix, rhs, order = system
+    expected = solve(matrix, rhs)
+    assert solve([matrix[i] for i in order], [rhs[i] for i in order]) == expected
+    rows = [[int(x * 60) for x in row] for row in matrix]  # 60 clears every denominator
+    if rows:
+        pivots, _ = _eliminate([rows[i] for i in order], len(rows[0]))
+        assert sorted(pivots) == sorted(_eliminate(rows, len(rows[0]))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+@example(([[1, 1], [1, 1], [2, 2]], [1, 1, 3]))  # the third row stops
+def test_stop_is_the_first_inconsistent_prefix(system):
+    matrix, rhs = system
+    rows = [[int(x * 60) for x in (*row, b)] for row, b in zip(matrix, rhs)]
+    pivots, stop = _eliminate(list(rows), len(matrix[0]) if matrix else 0)
+    first = next(
+        (i for i in range(len(rows)) if solve(matrix[: i + 1], rhs[: i + 1]) is None),
+        len(rows),
+    )
+    assert stop == first
+    assert len(pivots) == rank([row[:-1] for row in rows[:stop]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_matrices())
+def test_null_vector_of_every_free_column_is_in_the_kernel(matrix):
+    if not matrix:
+        return
+    rows = [list(row) for row in matrix]
+    ncols = len(rows[0])
+    pivots, _ = _eliminate(rows, ncols)
+    for col in set(range(ncols)) - set(pivots):
+        x = _null_vector(rows, pivots, col)
+        assert x[col] > 0
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in matrix)

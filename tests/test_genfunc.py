@@ -10,17 +10,21 @@ from ratcoord import (
     NotQuasiPolynomialError,
     RationalGF,
     SemilinearSet,
+    bfs_coordination,
     cumulative_to_exact,
     fit_rational,
     gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
+    parse_periodic_graph,
     series_coeffs,
     slice_counts,
     to_quasi_polynomial,
 )
+from ratcoord import genfunc
 from ratcoord._exactlinalg import solve
 from ratcoord.genfunc import _denominator_period, _pmul, _prem, _primitive
+from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
@@ -411,3 +415,23 @@ class TestFitAgainstLinearScan:
         assert _fit_outcome(
             fit_rational, prefix, max_order, verify_window
         ) == _fit_outcome(_reference_fit, prefix, max_order, verify_window)
+
+
+class TestFitEliminatesOncePerOrder:
+    @pytest.mark.parametrize(
+        "text", [PCU_TEXT, DIA_TEXT, BCU_TEXT], ids=["pcu", "dia", "bcu"]
+    )
+    def test_depth_60_fit(self, text, monkeypatch):
+        values = bfs_coordination(parse_periodic_graph(text), 1, 60).values
+        orders = []
+        eliminate = genfunc._eliminate
+
+        def counted(rows, ncols):
+            orders.append(ncols)
+            return eliminate(rows, ncols)
+
+        monkeypatch.setattr(genfunc, "_eliminate", counted)
+        q = fit_rational(values, (len(values) - 5) // 2, 5)
+        assert series_coeffs(q, 60) == list(values)
+        # the order is the number of coefficient columns
+        assert len(orders) <= 2 * len(set(orders))

@@ -76,6 +76,11 @@ class TestParse:
         with pytest.raises(ValueError):
             canonical_edge_orbit(1, 1, (0, 0))
 
+    def test_canonical_edge_orbit_nonintegral_offset(self):
+        with pytest.raises(ValueError, match="integers"):
+            canonical_edge_orbit(1, 2, (0.5, 1))
+        assert canonical_edge_orbit(1, 2, (2.0, 1)) == EdgeOrbit(1, 2, (2, 1))
+
 
 class TestCoverNeighbors:
     def test_square(self, square):

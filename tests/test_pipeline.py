@@ -20,6 +20,7 @@ from ratcoord import (
     build_coordination_nfa,
     canonical_edge_orbit,
     cumulative_to_exact,
+    linear_set_to_json,
     parikh_image,
     parse_periodic_graph,
     pipeline_coordination_gf,
@@ -28,7 +29,7 @@ from ratcoord import (
 )
 from ratcoord.cli import DISAMBIG_MARGIN, main
 from ratcoord.semilinear import _magnitude
-from .conftest import GRAPH_TEXTS, HONEYCOMB_TEXT, SQUARE_TEXT
+from .conftest import AMBIGUOUS_EXAMPLE, GRAPH_TEXTS, HONEYCOMB_TEXT, SQUARE_TEXT
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))
 HONEYCOMB_GF = RationalGF((1, 1, 1), (1, -2, 1))
@@ -309,6 +310,28 @@ class TestCli:
         assert first.stdout == second.stdout
         assert first.stdout.strip()
 
+    def test_in_process_calls_print_what_fresh_processes_print(
+        self, graph_files, tmp_path, cli_env, capsys
+    ):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"parts": [linear_set_to_json(AMBIGUOUS_EXAMPLE)]}))
+        commands = [
+            ["bfs", graph_files["honeycomb"], "--origin", "2", "--depth", "6"],
+            ["gf", graph_files["square"], "--origin", "1", "--method", "fit", "--json"],
+            ["semilinear", "decompose", "--json-input", str(path)],
+        ]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "ratcoord", *argv],
+                capture_output=True, text=True, check=True, env=cli_env,
+            ).stdout
+            for argv in commands
+        ]
+        for _ in range(2):  # alternate the subcommands on the one parser
+            for argv, expected in zip(commands, fresh):
+                assert main(argv) == 0
+                assert capsys.readouterr().out == expected
+
 
 class TestMoreNets:
     def test_cubic_lattice(self):
@@ -468,6 +491,32 @@ class TestExitCodes:
         report = cli.pipeline_coordination_gf(square, 1, "both", 20)
         assert report.symbolic_status == "decomposition_failed"
         assert report.gf_fit is not None
+        assert cli._report_exit_code(report) == 0
+
+    def test_coefficient_mismatch_exits_three(self, graph_files, monkeypatch, capsys):
+        import ratcoord.cli as cli
+
+        wrong = RationalGF((1, 3, 1), (1, -2, 1))
+        monkeypatch.setattr(cli, "fit_rational", lambda *args: wrong)
+        argv = ["gf", graph_files["square"], "--origin", "1", "--method", "fit"]
+        assert main(argv) == 3
+        assert "agreement bfs_vs_fit: mismatch@1" in capsys.readouterr().out
+
+    def test_no_positive_functional_exits_four(self, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        payload = {"parts": [{"base": [0, 0], "periods": [[1, 0], [-1, 0]]}]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["semilinear", "decompose", "--json-input", str(path)]) == 4
+        assert "no positive functional" in capsys.readouterr().err
+
+    def test_symbolic_budget_exceeded_is_a_status(self, square, monkeypatch):
+        import ratcoord.cli as cli
+
+        monkeypatch.setattr(cli, "SYMBOLIC_BUDGET", 1)
+        report = cli.pipeline_coordination_gf(square, 1, "both", 20)
+        assert report.symbolic_status == "budget_exceeded"
+        assert report.gf_symbolic is None
+        assert report.gf_fit == SQUARE_GF
         assert cli._report_exit_code(report) == 0
 
     def test_doubled_box_check_flags_wrong_decomposition(self, square, monkeypatch):

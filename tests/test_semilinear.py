@@ -5,7 +5,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratcoord import (
@@ -15,7 +15,6 @@ from ratcoord import (
     LinearSet,
     SemilinearSet,
     Unambiguous,
-    Unknown,
     check_unambiguous,
     count_representations,
     disambiguate,
@@ -63,6 +62,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SemilinearSet((LinearSet((0,)), LinearSet((0, 0))))
 
+    def test_nonintegral_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            LinearSet((0.5, 1.9), ((1, 0),))
+        with pytest.raises(ValueError, match="integers"):
+            LinearSet((0, 1), ((1, 0.7),))
+        assert LinearSet((2.0, 1), ((1.0, 0),)) == LinearSet((2, 1), ((1, 0),))
+
     def test_certified_not_constructible(self):
         s = SemilinearSet((A2,))
         assert s.certified is False
@@ -107,6 +113,18 @@ class TestCountRepresentations:
         with pytest.raises(BudgetExceeded):
             count_representations(l, (120, 120), budget=50)
 
+    def test_zero_sum_periods_exceed_the_budget(self):
+        # (1, -1) + (-1, 1) = 0: every member has infinitely many tuples and
+        # no functional bounds the count, so the kernel's backstop trips
+        l = LinearSet((0, 0), ((1, -1), (-1, 1)))
+        with pytest.raises(BudgetExceeded):
+            count_representations(l, (0, 0))
+
+    def test_nonintegral_vector_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            count_representations(A2, (4.5, 4))
+        assert count_representations(A2, (4.0, 4)) == 2
+
     def test_no_periods(self):
         assert count_representations(LinearSet((3, 1)), (3, 1)) == 1
         assert count_representations(LinearSet((3, 1)), (3, 2)) == 0
@@ -126,6 +144,12 @@ class TestMember:
                     for part in A_FULL.parts
                 )
                 assert member(A_FULL, (a, b)) == expected
+
+    def test_nonintegral_vector_rejected(self):
+        s = SemilinearSet((LinearSet((0, 0), ((1, 0),)),))
+        with pytest.raises(ValueError, match="integers"):
+            member(s, (1.5, 0))
+        assert member(s, (1.0, 0)) is True
 
     def test_zero_sum_periods(self):
         # 2*(-1,0)+(1,-1)+(1,1) = 0: no coefficient bound, every point of
@@ -168,6 +192,10 @@ class TestEnumerateInBox:
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             enumerate_in_box(A_FULL, (2, 2), (1, 1))
+
+    def test_nonintegral_box_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            enumerate_in_box(SemilinearSet((A2,)), (0, 0), (4.5, 4))
 
     def test_parts_without_common_functional(self):
         # each part has a positive functional, (1, 1) and (-1, -1), but no
@@ -229,6 +257,39 @@ class TestSliceCounts:
         assert total == [sum(col) for col in zip(*by_part)]
 
 
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _smallest_ambiguous(l, w, top):
+    """Smallest point by (w . point, point) with two coefficient tuples, among
+    the points with w . point <= top: every tuple is counted by adding one
+    period at a time, and since each period raises w, no partial sum of
+    such a point is above top."""
+    counts = Counter({l.base: 1})
+    for period in l.periods:
+        grown = Counter()
+        for point, count in counts.items():
+            while _dot(w, point) <= top:
+                grown[point] += count
+                point = tuple(map(sum, zip(point, period)))
+        counts = grown
+    ambiguous = [point for point, count in counts.items() if count >= 2]
+    return min(ambiguous, key=lambda p: (_dot(w, p), p), default=None)
+
+
+@st.composite
+def functional_linear_sets(draw):
+    """Small linear sets whose periods have a positive functional."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-2, 3)
+    vector = st.tuples(*[coord] * dim)
+    periods = draw(st.lists(vector, min_size=1, max_size=dim + 2))
+    l = LinearSet(draw(vector), tuple(periods))
+    assume(_positive_functional(l.periods, dim) is not None)
+    return l
+
+
 class TestCheckUnambiguous:
     def test_independent_periods(self):
         cert = check_unambiguous(LinearSet((0, 0), ((1, 0), (0, 1))))
@@ -242,13 +303,24 @@ class TestCheckUnambiguous:
         cert = check_unambiguous(LinearSet((0,), ((2,), (3,))))
         assert cert == AmbiguousWitness((6,))
 
-    def test_budget_gives_unknown(self):
-        cert = check_unambiguous(A2, budget=3)
-        assert isinstance(cert, Unknown)
-
     def test_witness_has_two_representations(self):
         cert = check_unambiguous(A2)
         assert count_representations(A2, cert.point) >= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(functional_linear_sets())
+    @example(LinearSet((2, 1), ((3, 0), (-2, 2), (3, 1))))  # witness (20, 7)
+    @example(LinearSet((0, 0, 0), ((1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 2, 2))))
+    def test_exact_against_counts(self, l):
+        cert = check_unambiguous(l)
+        independent = rank(l.periods) == len(l.periods)
+        assert isinstance(cert, Unambiguous) == independent
+        if independent:
+            return
+        assert count_representations(l, cert.point) >= 2
+        if len(l.periods) - rank(l.periods) == 1:
+            w = _positive_functional(l.periods, l.dim)
+            assert _smallest_ambiguous(l, w, _dot(w, cert.point)) == cert.point
 
 
 class TestValidateDecomposition:
@@ -285,6 +357,11 @@ class TestValidateDecomposition:
         assert not validate_decomposition(
             SemilinearSet((A2,)), SemilinearSet((A2,)), (0, 0), (20, 20)
         )
+
+    def test_nonintegral_box_rejected(self):
+        s = SemilinearSet((A2,))
+        with pytest.raises(ValueError, match="integers"):
+            validate_decomposition(s, s, (0.5, 0), (6, 6))
 
     def test_parts_without_common_functional(self):
         # OPPOSED's parts share only the origin: the second part without it
@@ -394,6 +471,12 @@ class TestDisambiguate:
         d = disambiguate(s, box_radius=8)
         wide = enumerate_in_box(s, (-16, -16), (16, 16))
         assert enumerate_in_box(d, (-16, -16), (16, 16)) == wide
+
+    def test_period_universe_too_large(self):
+        # 100 pairwise independent periods give 1 + 100 + 4950 subsets
+        l = LinearSet((0, 0), tuple((i, 1) for i in range(-50, 50)))
+        with pytest.raises(DecompositionError, match="period universe too large"):
+            disambiguate(SemilinearSet((l,)))
 
     def test_budget_failure_is_explicit(self):
         with pytest.raises((DecompositionError, BudgetExceeded)):

@@ -68,9 +68,12 @@ def gate_commands(nets, inputs, kagome, unreachable):
         for origin in range(1, origins + 1):
             argv = ["gf", str(path), "--origin", str(origin), "--depth", "30", "--json"]
             commands.append((f"gf {name} {origin}", argv))
-    for name in ("pcu", "dia", "bcu"):  # the bfs_deep workload's fits
-        argv = ["gf", "--method", "fit", str(nets / f"{name}.graph"), "--origin", "1"]
-        commands.append((f"gf fit {name} 60", argv + ["--depth", "60", "--json"]))
+    fits = [(nets / f"{name}.graph", name, origins)  # bfs_deep's fits come first
+            for name, origins in (("pcu", 1), ("dia", 2), ("bcu", 1), ("4off", 2))]
+    for path, name, origins in fits + [(kagome, "kagome", 3)]:
+        for origin in range(1, origins + 1):
+            argv = ["gf", "--method", "fit", str(path), "--origin", str(origin)]
+            commands.append((f"gf fit {name} {origin} 60", argv + ["--depth", "60", "--json"]))
     for path, name, origins in graphs + [(kagome, "kagome", 3)]:  # the BFS kernel
         for origin in range(1, origins + 1):
             argv = ["bfs", str(path), "--origin", str(origin), "--depth", "60", "--json"]
