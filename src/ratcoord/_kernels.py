@@ -8,16 +8,17 @@ a whole layer with one shift.  Box enumeration sweeps a :class:`BoxGrid`
 of the same kind (a level per value of a functional, a period moves a
 whole level with one shift, and the first cell axis has the largest place
 value, so a level's bits run in the lexicographic order of its points).
-On the symbolic path every point set stays such a bitset per level of one
-grid: ``disambiguate`` sweeps its input and candidate cones, certifies by
-popcount and decodes only the bases it chooses, and the doubled-box check
-compares two sets' levels.  A search over partial sums gives the points of
-one linear set with their representation counts, for counting,
-membership, unambiguity and ``validate_decomposition``.  The public
-modules call these kernels through this module's attributes
-(``_kernels.name``), so a wrapper installed here sees every call.  All
-indices here are 0-based (the public modules use 1-based orbits/states
-and convert).
+The grids are built in ``semilinear``, where every whole-set question is
+one sweep: ``disambiguate`` sweeps its input and candidate cones, certifies
+by popcount and decodes only the bases it chooses, the doubled-box check
+compares two sets' levels, and ``enumerate_in_box`` decodes one union.  A
+search over partial sums gives the points of one linear set with their
+representation counts, for counting, membership and
+``validate_decomposition``; it and ``enumerate_in_box`` share one test for
+a base past the box.  The public modules call these kernels through this
+module's attributes (``_kernels.name``), so a wrapper installed here sees
+every call.  All indices here are 0-based (the public modules use 1-based
+orbits/states and convert).
 """
 
 from __future__ import annotations
@@ -143,11 +144,10 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     multiplicities, so the counts stay exact.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
-    period (or None); it rides along as one more coordinate, bounded above
-    by its largest value on the box, unless it is a unit vector: that
-    coordinate already gives the same bounds.  Each multiplicity of period j is
-    bounded by every coordinate where the periods after it share a sign:
-    the rest of the sum only moves that coordinate one way, so
+    period (or None); it rides along as one more coordinate, bounded by its
+    range over the box (see :func:`_with_functional`).  Each multiplicity of
+    period j is bounded by every coordinate where the periods after it share
+    a sign: the rest of the sum only moves that coordinate one way, so
     ``partial + n * p_j`` must already be on the box's side of it.  That
     gives an upper bound on n where p_j moves the coordinate towards that
     side's limit and a lower bound where it moves it away.  With no period
@@ -160,29 +160,10 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     nodes = 1  # the base
     if nodes > max_nodes:
         raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-    periods = sorted(map(tuple, periods))
-    base = tuple(base)
-    if weights is not None and sorted(weights) == [0] * (len(weights) - 1) + [1]:
-        weights = None  # a unit functional repeats a coordinate and its bounds
-    strip = weights is not None
-    if strip:
-        def weigh(vector):
-            return (*vector, sum(map(mul, weights, vector)))
-
-        periods = list(map(weigh, periods))
-        base = weigh(base)
-        lo, hi = (
-            (*lo, sum(w * (l if w > 0 else h) for w, l, h in zip(weights, lo, hi))),
-            (*hi, sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))),
-        )
-    states = {}  # {partial sum: multiplicity}
-    # a base past the box where every period moves it further away is out
-    if all(
-        (x <= h or any(p[i] < 0 for p in periods))
-        and (x >= l or any(p[i] > 0 for p in periods))
-        for i, (x, l, h) in enumerate(zip(base, lo, hi))
-    ):
-        states[base] = 1
+    base, periods, lo, hi = _with_functional(
+        weights, tuple(base), sorted(map(tuple, periods)), lo, hi
+    )
+    states = {} if _past_box(base, periods, lo, hi) else {base: 1}
     for j, period in enumerate(periods):
         rest = periods[j + 1 :]
         # each bound is (a + s * partial[i]) // q: (hi - x) // q or (x - lo) // q
@@ -214,9 +195,7 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
                 point = tuple(map(add, point, period))
             nxt[point] = nxt.get(point, 0) + mult
         states = nxt
-    if strip:
-        return {point[:-1]: mult for point, mult in states.items()}
-    return states
+    return {point[:-1]: mult for point, mult in states.items()}
 
 
 def linear_points_in_box(base, periods, grid):
@@ -251,33 +230,6 @@ def linear_sets_in_box(parts, grid):
         for k, layer in enumerate(grid.sweep(layers, periods)):
             union[k] |= layer
     return grid.in_box(union)
-
-
-def linear_points_by_sweep(parts, lo, hi, weights, max_nodes):
-    """Points of a union of ``(base, periods)`` parts in ``[lo, hi]``, as a set.
-
-    ``weights`` is as in :func:`linear_point_counts`.  A base past the box
-    where no period of its part turns back is dropped; the other parts are
-    swept by :func:`linear_sets_in_box` in one :class:`BoxGrid` built from
-    their bases and periods, and decoded.
-    """
-    level_weights = weights if weights is not None else (0,) * len(lo)
-    top = _box_top(level_weights, lo, hi)
-    kept = []
-    for base, periods in parts:
-        periods = [p for p in map(tuple, periods) if any(p)]
-        if sum(map(mul, level_weights, base)) > top or any(
-            x > h and min([p[i] for p in periods], default=0) >= 0
-            or x < l and max([p[i] for p in periods], default=0) <= 0
-            for i, (x, l, h) in enumerate(zip(base, lo, hi))
-        ):
-            continue
-        kept.append((base, periods))
-    if not kept:
-        return set()
-    periods = {p for _, part_periods in kept for p in part_periods}
-    grid = BoxGrid([base for base, _ in kept], periods, lo, hi, weights, max_nodes)
-    return set(grid.decode(linear_sets_in_box(kept, grid)))
 
 
 class BoxGrid:
@@ -412,6 +364,25 @@ class BoxGrid:
 def _box_top(weights, lo, hi):
     """The largest value of ``weights . x`` over the box."""
     return sum(w * (h if w > 0 else l) for w, l, h in zip(weights, lo, hi))
+
+
+def _with_functional(weights, base, periods, lo, hi):
+    """Base, periods and box with ``weights . x`` appended as a coordinate
+    that ranges over its values on the box (0 when ``weights`` is None)."""
+    weights = weights if weights is not None else (0,) * len(lo)
+    base, *periods = [(*v, sum(map(mul, weights, v))) for v in (base, *periods)]
+    bottom = -_box_top([-w for w in weights], lo, hi)
+    return base, periods, (*lo, bottom), (*hi, _box_top(weights, lo, hi))
+
+
+def _past_box(base, periods, lo, hi):
+    """True if the base is past ``[lo, hi]`` on a coordinate that no period
+    turns back on, so that ``base + N periods`` has no point in the box."""
+    return any(
+        x > h and all(p[i] >= 0 for p in periods)
+        or x < l and all(p[i] <= 0 for p in periods)
+        for i, (x, l, h) in enumerate(zip(base, lo, hi))
+    )
 
 
 def _cell_block(ranges, places):

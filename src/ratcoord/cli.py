@@ -41,6 +41,7 @@ from .periodic_graph import (
 )
 from .semilinear import (
     _magnitude,
+    _malformed,
     disambiguate,
     enumerate_in_box,  # unused; kept bound for ratbench/tracing.py, which patches it
     same_in_box,
@@ -240,15 +241,19 @@ def nfa_to_json(a: VectorNFA) -> dict:
 
 
 def nfa_from_json(data: dict) -> VectorNFA:
-    return VectorNFA(
-        out_dim=data["out_dim"],
-        num_states=data["num_states"],
-        initial=frozenset(data["initial"]),
-        final=frozenset(data["final"]),
-        transitions=tuple(
-            (s, tuple(output), t) for s, output, t in data["transitions"]
-        ),
-    )
+    """Inverse of nfa_to_json; ValueError on a missing key, a wrong shape or
+    a number that is not a JSON integer (none is converted)."""
+    keys = ("out_dim", "num_states", "initial", "final", "transitions")
+    try:
+        out_dim, num_states, initial, final, moves = (data[key] for key in keys)
+        transitions = tuple((s, tuple(out), t) for s, out, t in moves)
+        numbers = [out_dim, num_states, *initial, *final]
+        numbers += [x for s, out, t in transitions for x in (s, *out, t)]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: unpacking
+        raise _malformed("NFA", exc) from exc
+    if not all(type(x) is int for x in numbers):
+        raise ValueError("malformed NFA JSON: non-integer number")
+    return VectorNFA(out_dim, num_states, initial, final, transitions)
 
 
 # ---------------------------------------------------------------------------

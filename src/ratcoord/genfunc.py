@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exactlinalg import _eliminate, _null_vector, integral, solve
-from .semilinear import LinearSet
+from .semilinear import LinearSet, _malformed
 
 
 class NotQuasiPolynomialError(ValueError):
@@ -383,4 +383,13 @@ def gf_to_json(q: RationalGF) -> dict:
 
 
 def gf_from_json(data: dict) -> RationalGF:
-    return RationalGF(data["num"], data["den"])
+    """Inverse of gf_to_json; ValueError on a missing key, a wrong shape or
+    a coefficient that is not a JSON integer (none is converted)."""
+    try:
+        num, den = data["num"], data["den"]
+        integers = all(type(x) is int for x in (*num, *den))
+    except (KeyError, TypeError) as exc:
+        raise _malformed("generating function", exc) from exc
+    if not integers:
+        raise ValueError("malformed generating function JSON: non-integer coefficient")
+    return RationalGF(num, den)

@@ -235,16 +235,16 @@ def _part_counts(part: LinearSet, lo, hi, budget):
 def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     """Members of the set inside the box, with set semantics across parts.
 
-    All parts are swept in one kernel call, with one level per value of a
-    positive functional of their periods; when they have none, one level
-    holds everything and each period is closed to a fixpoint in it.  Parts
-    with equal periods share a sweep.  ``budget`` caps the call at
-    ``64 * budget`` bits over its levels, checked before any level is built.
-    The swept region is the hull of the box and the bases, widened by the
-    Steinitz bound on the cell axes only (a unit functional's level axis
-    needs none, since every period raises it; see ``_kernels.BoxGrid``).
-    So a base far from a small box costs budget even when its part has no
-    point in the box: base
+    Parts that cannot reach the box are dropped (``_kernels._past_box``,
+    with a positive functional of the set's periods as one more coordinate).
+    The others are swept in one ``_kernels.BoxGrid``, one level per value of
+    the functional; with none, one level holds everything and each period
+    is closed to a fixpoint in it.  Parts with equal periods share a sweep.
+    ``budget`` caps the grid at ``64 * budget`` bits over its levels,
+    checked before any level is built.  The grid is the hull of the box and
+    the bases, widened by the Steinitz bound on the cell axes only.  So a
+    base far from a small box costs budget even when its part has no point
+    in the box: base
     (8, -7, 11, -2) with periods ((-2, -2, -3, 3), (2, 3, -3, 0)) in the box
     (-5, -4, -1, 2)..(-4, 0, 2, 4) raises BudgetExceeded at budget 10**6,
     where ``_kernels.linear_point_counts`` finds no point.
@@ -257,7 +257,16 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     periods = tuple(dict.fromkeys(p for part in s.parts for p in part.periods))
     w = _positive_functional(periods, len(lo))
     parts = [(part.base, part.periods) for part in s.parts]
-    return _kernels.linear_points_by_sweep(parts, lo, hi, w, budget)
+    parts = [
+        pair for pair in parts
+        if not _kernels._past_box(*_kernels._with_functional(w, *pair, lo, hi))
+    ]
+    if not parts:
+        return set()
+    periods = {p for _, part_periods in parts for p in part_periods}
+    bases = [base for base, _ in parts]
+    grid = _kernels.BoxGrid(bases, periods, lo, hi, w, budget)
+    return set(grid.decode(_kernels.linear_sets_in_box(parts, grid)))
 
 
 def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Shared corpus: graphs, automata, generating functions."""
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,16 @@ GRAPH_TEXTS = {
     "ladder": LADDER_TEXT,
     "three_ring": THREE_RING_TEXT,
 }
+
+
+def assert_outcome(call, expected):
+    """``call()`` returns ``expected``, or raises it if it is an exception:
+    one of its type whose message contains ``expected``'s."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 @pytest.fixture(scope="session")

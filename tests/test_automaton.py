@@ -18,6 +18,10 @@ from ratcoord import (
     run_parikh_oracle,
     slice_counts,
 )
+from ratcoord import automaton, parse_periodic_graph
+from .conftest import SQUARE_TEXT, assert_outcome
+
+SQUARE_NFA = build_coordination_nfa(parse_periodic_graph(SQUARE_TEXT), 1, 1)
 
 
 class TestVectorNFA:
@@ -41,6 +45,41 @@ class TestVectorNFA:
             VectorNFA(1, 1, frozenset({1}), frozenset({1}), ((1, (0.7,), 1),))
         a = VectorNFA(1, 1, frozenset({1}), frozenset({1}), ((1, (2.0,), 1),))
         assert a.transitions == ((1, (2,), 1),)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(
+            lambda: VectorNFA(0, 1, (), (), ()),
+            ValueError("out_dim must be positive"),
+            id="out_dim",
+        ),
+        pytest.param(
+            lambda: VectorNFA(1, 0, (), (), ()),
+            ValueError("num_states must be positive"),
+            id="num_states",
+        ),
+        pytest.param(  # VectorNFA itself would name a state, not an orbit
+            lambda: build_coordination_nfa(parse_periodic_graph(SQUARE_TEXT), 1, 2),
+            ValueError("orbit index 2 out of range"),
+            id="orbit",
+        ),
+        pytest.param(
+            lambda: run_parikh_oracle(SQUARE_NFA, -1),
+            ValueError("max_len must be nonnegative"),
+            id="max_len",
+        ),
+        pytest.param(
+            lambda: parikh_image(SQUARE_NFA),
+            BudgetExceeded("more than 0 elementary circuits"),
+            id="circuit_cap",
+        ),
+    ],
+)
+def test_guards(call, expected, monkeypatch):
+    monkeypatch.setattr(automaton, "PARIKH_CYCLE_CAP", 0)  # read by parikh_image only
+    assert_outcome(call, expected)
 
 
 class TestBuildCoordinationNfa:

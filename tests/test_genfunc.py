@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ratcoord import (
     LinearSet,
     NotQuasiPolynomialError,
+    QuasiPolynomial,
     RationalGF,
     SemilinearSet,
     bfs_coordination,
@@ -24,7 +25,7 @@ from ratcoord import (
 from ratcoord import genfunc
 from ratcoord._exactlinalg import solve
 from ratcoord.genfunc import _denominator_period, _pmul, _prem, _primitive
-from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT
+from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, assert_outcome
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
@@ -320,6 +321,77 @@ class TestJson:
             data = gf_to_json(q)
             assert set(data) == {"num", "den"}
             assert gf_from_json(data) == q
+
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            pytest.param({"num": [1]}, "missing key 'den'", id="missing_key"),
+            pytest.param({"num": 3, "den": [1]}, "wrong shape", id="wrong_shape"),
+            pytest.param(
+                {"num": [1.5, 0.5], "den": [0.5]}, "non-integer", id="float"
+            ),
+            pytest.param({"num": [True], "den": [1]}, "non-integer", id="true"),
+        ],
+    )
+    def test_malformed_rejected(self, data, message):
+        with pytest.raises(ValueError, match=f"malformed generating function JSON: {message}"):
+            gf_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(lambda: str(RationalGF.zero()), "(0)", id="str_zero"),
+        pytest.param(lambda: str(RationalGF((1, -1))), "(1 - z)", id="str_minus_z"),
+        pytest.param(
+            lambda: str(RationalGF((1, 2, 1))), "(1 + 2*z + z^2)", id="str_polynomial"
+        ),
+        pytest.param(
+            lambda: setattr(RationalGF.one(), "num", (2,)),
+            AttributeError("RationalGF is immutable"),
+            id="immutable",
+        ),
+        pytest.param(lambda: RationalGF.one() == 1, False, id="eq_other_type"),
+        pytest.param(
+            lambda: RationalGF.one() + 1,
+            TypeError("unsupported operand"),
+            id="add_other_type",
+        ),
+        pytest.param(
+            lambda: hash(RationalGF((2, 2), (2, -2))) == hash(RationalGF((1, 1), (1, -1))),
+            True,
+            id="hash",
+        ),
+        pytest.param(
+            lambda: series_coeffs(RationalGF.one(), -1),
+            ValueError("n must be nonnegative"),
+            id="series",
+        ),
+        pytest.param(  # coordinate 0 would read the last coordinate
+            lambda: gf_unambiguous_linear(LinearSet((0, 0)), 0),
+            ValueError("coordinate index 0 out of range"),
+            id="formula",
+        ),
+        pytest.param(
+            lambda: fit_rational([1, 1, 1], -1, 0),
+            ValueError("max_order and verify_window must be nonnegative"),
+            id="fit_order",
+        ),
+        pytest.param(
+            lambda: fit_rational([1, 1, 1], 1, -1),
+            ValueError("max_order and verify_window must be nonnegative"),
+            id="fit_window",
+        ),
+        pytest.param(
+            lambda: QuasiPolynomial(1, ((1,),), (1,)).evaluate(-1),
+            ValueError("index must be nonnegative"),
+            id="evaluate",
+        ),
+    ],
+)
+def test_paths_and_guards(call, expected):
+    assert_outcome(call, expected)
 
 
 class TestFitHypothesis:

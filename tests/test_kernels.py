@@ -101,6 +101,23 @@ def _cone_points(base, periods, lo, hi, weights):
     return set(grid.decode(_kernels.linear_points_in_box(base, periods, grid)))
 
 
+def _swept_points(parts, lo, hi, weights, max_nodes):
+    """The box points of a union of parts from one grid sweep, decoded.
+
+    A base above the box's top level has no point in the box and no level
+    in the grid, so its part is dropped; every other base stays, inside the
+    box or not.
+    """
+    w = weights or (0,) * len(lo)
+    top = sum(x * (h if x > 0 else low) for x, low, h in zip(w, lo, hi))
+    parts = [part for part in parts if sum(map(mul, w, part[0])) <= top]
+    if not parts:
+        return set()
+    periods = {p for _, part_periods in parts for p in part_periods}
+    grid = _kernels.BoxGrid([base for base, _ in parts], periods, lo, hi, weights, max_nodes)
+    return set(grid.decode(_kernels.linear_sets_in_box(parts, grid)))
+
+
 def test_zigzag_needs_the_widening():
     # every path from the base to a point on x = 0 passes x = 3 or x = -3,
     # inside the cell axis widened by 2 * (d - 1) * M_cell = 6 only
@@ -108,7 +125,7 @@ def test_zigzag_needs_the_widening():
     args = (0, 0), (0, 6), (0, 1)
     expected = {(0, 0), (0, 2), (0, 4), (0, 6)}
     assert _cone_points(*part, *args) == expected
-    assert _kernels.linear_points_by_sweep((part,), *args, 10**6) == expected
+    assert _swept_points((part,), *args, 10**6) == expected
     assert set(_kernels.linear_point_counts(*part, *args, 10**6)) == expected
 
 
@@ -125,6 +142,11 @@ def test_box_without_weights(bases, periods, expected):
     for base, points in zip(bases, expected, strict=True):
         counts = _kernels.linear_point_counts(base, periods, (0, 0), (3, 3), None, 10**6)
         assert counts == points
+
+
+def test_zero_node_budget_admits_no_base():
+    with pytest.raises(BudgetExceeded, match="exceeded 0 nodes"):
+        _kernels.linear_point_counts((0,), (), (0,), (0,), None, 0)
 
 
 def test_node_budget_counts_bases_and_partial_sums():
@@ -144,7 +166,7 @@ def test_node_budget_counts_bases_and_partial_sums():
 @example(((((1, 1), ()), ((0, 0), ((1, 0),))), (0, 0), (3, 3), (1, 0)))  # no periods
 def test_sweep_matches_brute_force(case):
     parts, lo, hi, weights = case
-    points = _kernels.linear_points_by_sweep(parts, lo, hi, weights, 10**6)
+    points = _swept_points(parts, lo, hi, weights, 10**6)
     assert points == set(_brute_force_counts(parts, lo, hi, weights))
 
 
@@ -165,7 +187,7 @@ def test_decode_walks_functional_then_point_order(case):
         points = list(grid.decode(_kernels.linear_sets_in_box(parts, grid)))
         w = functional or (0,) * len(lo)
         assert points == sorted(set(points), key=lambda x: (sum(map(mul, w, x)), x))
-        assert set(points) == _kernels.linear_points_by_sweep(parts, lo, hi, functional, 10**6)
+        assert set(points) == set(_brute_force_counts(parts, lo, hi, weights))
 
 
 @st.composite
@@ -201,7 +223,7 @@ def test_sweep_without_functional_matches_reachability(case):
         point for point in box
         if any(_reachable(LinearSet(base, periods), point, 10**6) for base, periods in parts)
     }
-    assert _kernels.linear_points_by_sweep(parts, lo, hi, None, 10**6) == expected
+    assert _swept_points(parts, lo, hi, None, 10**6) == expected
 
 
 def test_sweep_budget_bounds_level_span():
@@ -209,11 +231,11 @@ def test_sweep_budget_bounds_level_span():
     # whose box range [-5, 5] widens by 2 * (d - 1) * M_cell = 2 on each side
     # to 15 cells, plus one guard cell: 16 * 16 = 256 = 64 * 4 bits
     args = ((((0, 0), ((1, 1), (-1, 1))),), (-5, 0), (5, 15), (0, 1))
-    assert _kernels.linear_points_by_sweep(*args, 4) == {
+    assert _swept_points(*args, 4) == {
         (x, y) for y in range(16) for x in range(-5, 6) if abs(x) <= y and (x + y) % 2 == 0
     }
     with pytest.raises(BudgetExceeded, match="more than 192 bits"):
-        _kernels.linear_points_by_sweep(*args, 3)
+        _swept_points(*args, 3)
 
 
 @st.composite

@@ -17,7 +17,7 @@ from ratcoord import (
     cumulative_counts,
     parse_periodic_graph,
 )
-from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, SQUARE_TEXT
+from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, SQUARE_TEXT, assert_outcome
 
 
 class TestParse:
@@ -80,6 +80,65 @@ class TestParse:
         with pytest.raises(ValueError, match="integers"):
             canonical_edge_orbit(1, 2, (0.5, 1))
         assert canonical_edge_orbit(1, 2, (2.0, 1)) == EdgeOrbit(1, 2, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(
+            lambda: PeriodicGraph(0, 1, ()),
+            ValueError("dim must be positive"),
+            id="dim",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(1, 0, ()),
+            ValueError("num_orbits must be positive"),
+            id="num_orbits",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(2, 1, (EdgeOrbit(1, 1, (1,)),)),
+            ValueError("offset arity mismatch"),
+            id="arity",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(1, 1, (EdgeOrbit(0, 1, (1,)),)),
+            ValueError("orbit index out of range"),
+            id="source",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(1, 1, (EdgeOrbit(1, 2, (1,)),)),
+            ValueError("orbit index out of range"),
+            id="target",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(1, 1, (EdgeOrbit(1, 1, (-1,)),)),
+            ValueError("not in canonical orientation"),
+            id="orientation",
+        ),
+        pytest.param(
+            lambda: PeriodicGraph(1, 1, (EdgeOrbit(1, 1, (1,)),) * 2),
+            ValueError("duplicate edge orbit"),
+            id="duplicate",
+        ),
+        pytest.param(
+            lambda: parse_periodic_graph("dim 1\nverts 1\n"),
+            ParseError(2, "expected 'vertices <m>'"),
+            id="vertices_line",
+        ),
+        pytest.param(
+            lambda: parse_periodic_graph("dim 1\nvertices 0\n"),
+            ParseError(2, "vertices must be positive"),
+            id="vertices_count",
+        ),
+        pytest.param(  # orbit 0 would index the last orbit's neighbours
+            lambda: cover_neighbors(parse_periodic_graph(SQUARE_TEXT), CoverVertex(0, (0, 0))),
+            ValueError("orbit index 0 out of range"),
+            id="cover_orbit",
+        ),
+    ],
+)
+def test_guards(call, expected):
+    assert_outcome(call, expected)
 
 
 class TestCoverNeighbors:

@@ -138,6 +138,24 @@ class TestNfaJson:
         }
         assert nfa_from_json(json.loads(json.dumps(data))) == a
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            pytest.param({"transitions": None}, "missing key 'transitions'", id="missing_key"),
+            pytest.param({"initial": 1}, "wrong shape", id="wrong_shape"),
+            pytest.param({"transitions": [[1, [0, 1]]]}, "wrong shape", id="short_transition"),
+            pytest.param({"transitions": [[1, [2.0, 1], 1]]}, "non-integer", id="float"),
+            pytest.param({"out_dim": True}, "non-integer", id="true"),
+        ],
+    )
+    def test_malformed_rejected(self, change, message):
+        data = {"out_dim": 2, "num_states": 1, "initial": [1], "final": [1], **change}
+        data.setdefault("transitions", [[1, [0, 1], 1]])
+        if data["transitions"] is None:
+            del data["transitions"]
+        with pytest.raises(ValueError, match=f"malformed NFA JSON: {message}"):
+            nfa_from_json(data)
+
 
 @pytest.fixture()
 def graph_files(tmp_path):
@@ -309,6 +327,20 @@ class TestCli:
         second = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+    def test_python_dash_m_exit_codes(self, graph_files, tmp_path, cli_env):
+        def run(path, *options):
+            cmd = [sys.executable, "-m", "ratcoord", "bfs", path, *options]
+            return subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+
+        done = run(graph_files["square"], "--origin", "1", "--depth", "3")
+        assert (done.returncode, done.stdout) == (0, "1 4 8 12\n")
+        # argparse exits 2 itself: --origin is required
+        assert run(graph_files["square"], "--depth", "3").returncode == 2
+        # main returns 2 for an unreadable file; only sys.exit passes it on
+        done = run(str(tmp_path / "missing.graph"), "--origin", "1", "--depth", "3")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("ratcoord: error:")
 
     def test_in_process_calls_print_what_fresh_processes_print(
         self, graph_files, tmp_path, cli_env, capsys

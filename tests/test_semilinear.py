@@ -30,12 +30,14 @@ from ratcoord import (
 from ratcoord import _kernels
 from ratcoord._exactlinalg import rank
 from ratcoord.semilinear import (
+    _functional_grid,
     _independent_subsets,
     _magnitude,
     _positive_functional,
+    _reachable,
     same_in_box,
 )
-from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points
+from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points, assert_outcome
 
 A2 = AMBIGUOUS_EXAMPLE
 A_FULL = SemilinearSet((LinearSet((0, 0)), A2))
@@ -45,6 +47,46 @@ OPPOSED = SemilinearSet(
         LinearSet((0, 0), ((-2, 1), (1, -2))),
     )
 )
+
+
+RAY = SemilinearSet((LinearSet((0,), ((1,),)),))
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        pytest.param(  # the 3**7 - 1 grid functionals would be searched
+            lambda: len(_functional_grid(7)), 14, id="functional_grid"
+        ),
+        pytest.param(
+            lambda: count_representations(A2, (1, 2, 3)),
+            ValueError("vector (1, 2, 3) has wrong dimension (expected 2)"),
+            id="check_dim",
+        ),
+        pytest.param(
+            lambda: _reachable(LinearSet((0, 0), ((1, 0), (0, 1))), (9, 9), 5),
+            BudgetExceeded("membership search exceeded 5 points"),
+            id="reachable_budget",
+        ),
+        pytest.param(
+            lambda: slice_counts(RAY, 1, -1),
+            ValueError("y_max must be nonnegative"),
+            id="slice_y_max",
+        ),
+        pytest.param(
+            lambda: slice_counts(RAY, 0, 3),
+            ValueError("coordinate index 0 out of range"),
+            id="slice_index",
+        ),
+        pytest.param(
+            lambda: slice_counts(SemilinearSet((LinearSet((-1,), ((1,),)),)), 1, 3),
+            ValueError("negative coordinate-1 projection"),
+            id="slice_base",
+        ),
+    ],
+)
+def test_guards(call, expected):
+    assert_outcome(call, expected)
 
 
 class TestConstruction:

@@ -10,8 +10,12 @@ number of calls of ``_kernels.linear_points_in_box`` (the greedy's
 candidates) in each tree, and the wall seconds of each process.  The nets
 and frozen images are read from NEW_TREE; the kagome graph and a net whose
 second orbit the first cannot reach (an empty Parikh image) are written to
-a temporary directory.  The exit status is 1 when any command differs, 2 on a
-usage error, else 0.
+a temporary directory.  A second driver then runs a fixed list of library
+calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts
+and box validation, which no gate command reaches) once per tree and prints
+their results as canonical JSON; a call that raises BudgetExceeded has that
+as its result.  The exit status is 1 when any command or library probe
+differs, 2 on a usage error, else 0.
 Standard library only.
 """
 
@@ -50,6 +54,72 @@ finally:
     with open(sys.argv[2], "w") as handle:
         handle.write(str(len(calls)))
 sys.exit(code)
+"""
+
+# argv[1]: the tree's src directory; argv[2]: the benchmark directory with
+# the nets and frozen images; prints {probe: result} as one JSON object
+LIBRARY_DRIVER = """
+import itertools, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from ratcoord.automaton import build_coordination_nfa, parikh_image
+from ratcoord.errors import BudgetExceeded
+from ratcoord.periodic_graph import parse_periodic_graph
+from ratcoord.semilinear import (
+    LinearSet, SemilinearSet, _magnitude, count_representations, disambiguate,
+    enumerate_in_box, semilinear_from_json, slice_counts, validate_decomposition,
+)
+bench = Path(sys.argv[2])
+A2 = LinearSet((2, 2), ((2, 0), (1, 1), (0, 2)))
+OPPOSED = SemilinearSet((
+    LinearSet((0, 0), ((2, -1), (-1, 2))), LinearSet((0, 0), ((-2, 1), (1, -2))),
+))
+# the far-base example of enumerate_in_box's docstring
+FAR = SemilinearSet((LinearSet((8, -7, 11, -2), ((-2, -2, -3, 3), (2, 3, -3, 0))),))
+FAR_BOX = (-5, -4, -1, 2), (-4, 0, 2, 4)
+
+def image(net, target):
+    text = (bench / "nets" / f"{net}.graph").read_text(encoding="utf-8")
+    return parikh_image(build_coordination_nfa(parse_periodic_graph(text), 1, target))
+
+def frozen(target):
+    text = (bench / "inputs" / f"4off_target{target}.json").read_text(encoding="utf-8")
+    return semilinear_from_json(json.loads(text))
+
+def box(s, scale):  # the certification box (scale 1) or the doubled one (2)
+    r = scale * (_magnitude(s.parts) + 8)
+    return (-r,) * s.dim, (r,) * s.dim
+
+def points(s, lo, hi, *budget):
+    return sorted(enumerate_in_box(s, lo, hi, *budget))
+
+def validated(s):
+    return validate_decomposition(s, disambiguate(s, box(s, 1)[1][0]), *box(s, 2))
+
+images = {"sql": image("sql", 1), "hcb t1": image("hcb", 1), "hcb t2": image("hcb", 2)}
+probes = {
+    "enumerate A2 (0,0)-(20,20)": lambda: points(SemilinearSet((A2,)), (0, 0), (20, 20)),
+    "enumerate OPPOSED": lambda: points(OPPOSED, (-6, -6), (6, 6)),
+    "enumerate far base 10**6": lambda: points(FAR, *FAR_BOX, 10**6),
+    "enumerate far base 10**7": lambda: points(FAR, *FAR_BOX, 10**7),
+    "count_representations A2": lambda: [
+        count_representations(A2, v) for v in itertools.product(range(13), repeat=2)
+    ],
+}
+for name, s in images.items():
+    probes[f"slice_counts {name}"] = lambda s=s: slice_counts(s, s.dim, 20)
+for target in (1, 2):
+    images[f"4off t{target}"] = s = frozen(target)
+    probes[f"enumerate 4off t{target} doubled"] = lambda s=s: points(s, *box(s, 2))
+for name, s in images.items():
+    probes[f"validate {name}"] = lambda s=s: validated(s)
+results = {}
+for label, probe in probes.items():
+    try:
+        results[label] = probe()
+    except BudgetExceeded as exc:
+        results[label] = {"BudgetExceeded": str(exc)}
+print(json.dumps(results, sort_keys=True, separators=(",", ":")))
 """
 
 
@@ -106,6 +176,20 @@ def run(tree, argv, scratch):
     return done.stdout, done.stderr, done.returncode, calls, wall
 
 
+def library_results(tree, bench):
+    """({probe: result}, wall seconds) of the library driver in one tree."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", LIBRARY_DRIVER, str(tree / "src"), str(bench)],
+        capture_output=True,
+    )
+    wall = time.perf_counter() - start
+    if done.returncode:  # every probe of a tree whose driver died differs
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+        return {}, wall
+    return json.loads(done.stdout), wall
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) != 2:
@@ -133,8 +217,20 @@ def main() -> int:
             calls = f"{before[3]}/{after[3]}"
             wall = f"{before[4]:.2f}/{after[4]:.2f}"
             print(f"{label:<26} {result:<28} {calls:>15} {wall:>15}", flush=True)
+        bench = new / "ratbench"
+        (before, old_wall), (after, new_wall) = (
+            library_results(tree, bench) for tree in (old, new)
+        )
+    labels = sorted(before.keys() | after.keys())
+    print(f"{'library probe':<34} {'result':<20} wall s old/new {old_wall:.2f}/{new_wall:.2f}")
+    probes_differ = 0
+    for label in labels:
+        same = label in before and before.get(label) == after.get(label)
+        probes_differ += not same
+        print(f"{label:<34} {'identical' if same else 'DIFF'}", flush=True)
     print(f"{differ} of {len(commands)} commands differ")
-    return 1 if differ else 0
+    print(f"{probes_differ} of {len(labels)} library probes differ")
+    return 1 if differ or probes_differ or not labels else 0
 
 
 if __name__ == "__main__":
