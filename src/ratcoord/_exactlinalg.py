@@ -1,15 +1,15 @@
 """Small exact linear-algebra helpers over the rationals.
 
-No floating point anywhere.  One fraction-free elimination by rows,
-:func:`_eliminate`, serves :func:`rank`, :func:`solve`, the recurrence fit
-of ``genfunc.fit_rational`` and ``semilinear.check_unambiguous``; the last
-two read an integer kernel vector off its pivot rows (:func:`_null_vector`).
-Only :func:`solve` builds Fractions.
+No floating point and no Fraction anywhere.  One fraction-free elimination
+by rows, :func:`_eliminate`, serves :func:`rank`, the recurrence fit of
+``genfunc.fit_rational``, ``genfunc.to_quasi_polynomial``,
+``semilinear.count_representations`` and ``semilinear.check_unambiguous``;
+each reads its solution or an integer kernel vector (:func:`_null_vector`)
+off the pivot rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -76,33 +76,3 @@ def rank(vectors) -> int:
     """Rank over the rationals of a list of integer vectors."""
     rows = list(vectors)
     return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
-
-
-def solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` exactly over the rationals.
-
-    Returns ``(solution, free_columns)`` where every free variable is set to
-    zero, or ``None`` when the system is inconsistent.  ``free_columns`` empty
-    means the solution is unique.
-
-    Each augmented row is scaled to integers and eliminated by
-    :func:`_eliminate`; only the returned values ``rhs / pivot`` are
-    Fractions.
-    """
-    if not matrix:
-        return ([], []) if all(b == 0 for b in rhs) else None
-    ncols = len(matrix[0])
-    m = []
-    for row, b in zip(matrix, rhs):
-        row = [*row, b]
-        scale = lcm(*(v.denominator for v in row))
-        m.append([int(v * scale) for v in row])
-    pivots, stop = _eliminate(m, ncols)
-    if stop < len(m):
-        return None
-    sol = [Fraction(0)] * ncols
-    for row, col in zip(m, pivots):
-        sol[col] = Fraction(row[ncols], row[col])
-    free = [c for c in range(ncols) if c not in pivots]
-    return sol, free
-

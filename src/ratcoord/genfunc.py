@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._exactlinalg import _eliminate, _null_vector, integral, solve
+from ._exactlinalg import _eliminate, _null_vector, integral
 from .semilinear import LinearSet, _malformed
 
 
@@ -336,7 +336,8 @@ def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial
     Requires every denominator root to be a root of unity, verified by
     finding the smallest P <= max_period with den | (1 - z^P)^deg(den);
     otherwise raises NotQuasiPolynomialError.  Residue polynomials are
-    interpolated exactly and re-verified against the series.
+    interpolated by fraction-free elimination of the integer rows
+    ``[k^0, ..., k^D, c_k]`` and re-verified against the series.
     """
     deg_den = len(q.den) - 1
     deg_num = len(q.num) - 1 if q.num else -1
@@ -361,13 +362,11 @@ def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial
             for k in range(prefix_len, n_needed + 1)
             if k % period == r
         ]
-        sample = ks[:points]
-        rows = [[Fraction(k) ** p for p in range(points)] for k in sample]
-        rhs = [coeffs[k] for k in sample]
-        solution = solve(rows, rhs)
-        if solution is None:
-            raise RuntimeError("interpolation failed; inconsistent samples")
-        poly = _trim(solution[0])
+        rows = [[k**p for p in range(points)] + [coeffs[k]] for k in ks[:points]]
+        # the k are distinct, so every leading minor is a nonzero Vandermonde
+        # determinant and row p pivots on column p
+        _eliminate(rows, points)
+        poly = _trim(Fraction(row[points], row[p]) for p, row in enumerate(rows))
         for k in ks:
             value = sum(c * k**p for p, c in enumerate(poly))
             if value != coeffs[k]:
@@ -383,8 +382,9 @@ def gf_to_json(q: RationalGF) -> dict:
 
 
 def gf_from_json(data: dict) -> RationalGF:
-    """Inverse of gf_to_json; ValueError on a missing key, a wrong shape or
-    a coefficient that is not a JSON integer (none is converted)."""
+    """Inverse of gf_to_json; ValueError on a missing key, a wrong shape, a
+    coefficient that is not a JSON integer (none is converted) or a zero
+    denominator."""
     try:
         num, den = data["num"], data["den"]
         integers = all(type(x) is int for x in (*num, *den))
@@ -392,4 +392,6 @@ def gf_from_json(data: dict) -> RationalGF:
         raise _malformed("generating function", exc) from exc
     if not integers:
         raise ValueError("malformed generating function JSON: non-integer coefficient")
+    if not any(den):
+        raise ValueError("malformed generating function JSON: zero denominator")
     return RationalGF(num, den)

@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, and_
 
 from . import _kernels
-from ._exactlinalg import _eliminate, _null_vector, integral, rank, solve
+from ._exactlinalg import _eliminate, _null_vector, integral, rank
 from .errors import BudgetExceeded, DecompositionError
 
 
@@ -159,23 +159,28 @@ def _magnitude(parts) -> int:
 def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     """Exact number of coefficient tuples representing v in the linear set.
 
-    Linearly independent periods are settled by exact rational elimination;
-    otherwise the multiplicity kernel counts over the one-point box
-    ``[v, v]``, after a rational feasibility check when no positive
-    functional bounds that search.  ``budget`` caps explored nodes and
-    exceeding it raises BudgetExceeded.
+    Linearly independent periods are settled by fraction-free elimination
+    of the integer rows ``[p_1[i], ..., p_k[i], v[i] - base[i]]``: the one
+    solution is read off the pivot rows.  Otherwise the multiplicity kernel
+    counts over the one-point box ``[v, v]``, after the same elimination
+    has checked rational feasibility when no positive functional bounds
+    that search.  ``budget`` caps explored nodes and exceeding it raises
+    BudgetExceeded.
     """
     _check_dim(l, v)
     v = integral(v)
     w = _positive_functional(l.periods, l.dim)
+    k = len(l.periods)
     # more periods than coordinates are dependent, so there is no shortcut
-    if w is None or len(l.periods) <= l.dim:
-        relaxed = solve(list(zip(*l.periods)), [a - b for a, b in zip(v, l.base)])
-        if relaxed is None:
+    if w is None or k <= l.dim:
+        rows = [[*column, a - b] for *column, a, b in zip(*l.periods, v, l.base)]
+        pivots, stop = _eliminate(rows, k)
+        if stop < len(rows):
             return 0
-        solution, free = relaxed
-        if not free:
-            ok = all(x.denominator == 1 and x >= 0 for x in solution)
+        if len(pivots) == k:
+            # the coefficient of pivot column c is r[k] / r[c]
+            ok = all(r[k] % r[c] == 0 and r[k] * r[c] >= 0
+                     for r, c in zip(rows, pivots))
             return 1 if ok else 0
     return _part_counts(l, v, v, budget).get(v, 0)
 
@@ -522,12 +527,14 @@ def semilinear_to_json(s: SemilinearSet) -> dict:
 
 
 def semilinear_from_json(data: dict) -> SemilinearSet:
-    """Inverse of semilinear_to_json; ValueError on a missing key or wrong shape."""
+    """Inverse of semilinear_to_json; ValueError on a missing key, a wrong
+    shape or a ``certified`` that is not a JSON boolean (missing means false)."""
     try:
         parts = data["parts"]
         s = SemilinearSet(tuple(linear_set_from_json(p) for p in parts))
+        certified = data.get("certified", False)
     except (KeyError, TypeError) as exc:
         raise _malformed("semilinear set", exc) from exc
-    if data.get("certified"):
-        s = _mark_certified(s)
-    return s
+    if type(certified) is not bool:
+        raise ValueError("malformed semilinear set JSON: non-boolean certified")
+    return _mark_certified(s) if certified else s

@@ -1,12 +1,13 @@
-"""Fraction-free ``rank`` and ``solve`` against Gauss-Jordan over Fractions,
-and the row-order properties of ``_eliminate`` that the recurrence fit uses."""
+"""Fraction-free ``rank`` and the solutions read off ``_eliminate``'s pivot
+rows against Gauss-Jordan over Fractions, and the row-order properties of
+``_eliminate`` that the recurrence fit uses."""
 
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratcoord._exactlinalg import _eliminate, _null_vector, rank, solve
+from ratcoord._exactlinalg import _eliminate, _null_vector, rank
 
 
 def _echelonize(m, ncols):
@@ -37,7 +38,8 @@ def _echelonize(m, ncols):
 
 
 def _reference_solve(matrix, rhs):
-    """``solve`` by Fraction Gauss-Jordan, free variables set to zero."""
+    """``(solution, free_columns)`` of ``matrix @ x = rhs`` by Fraction
+    Gauss-Jordan, free variables set to zero; None if inconsistent."""
     if not matrix:
         return ([], []) if all(b == 0 for b in rhs) else None
     ncols = len(matrix[0])
@@ -54,6 +56,25 @@ def _reference_solve(matrix, rhs):
         sol[col] = m[i][ncols]
     free = [c for c in range(ncols) if c not in pivots]
     return sol, free
+
+
+def _pivot_row_solve(matrix, rhs):
+    """The solution of ``matrix @ x = rhs`` read off the pivot rows of
+    ``_eliminate``, in the form of :func:`_reference_solve`.  Times 60 every
+    drawn entry is an integer, and pivot column c of row j gives
+    ``x[c] = row[-1] / row[c]``."""
+    ncols = len(matrix[0]) if matrix else 0
+    rows = [
+        [int(x * 60) for x in (*row, b)]
+        for row, b in zip(matrix or [()] * len(rhs), rhs)
+    ]
+    pivots, stop = _eliminate(rows, ncols)
+    if stop < len(rows):
+        return None
+    sol = [Fraction(0)] * ncols
+    for row, col in zip(rows, pivots):
+        sol[col] = Fraction(row[ncols], row[col])
+    return sol, [c for c in range(ncols) if c not in pivots]
 
 
 @st.composite
@@ -101,11 +122,7 @@ def linear_systems(draw):
 @example(([[Fraction(1, 2), Fraction(1, 3)], [2, -1]], [Fraction(5, 6), 1]))
 def test_solve_matches_fraction_elimination(system):
     matrix, rhs = system
-    expected = _reference_solve(matrix, rhs)
-    got = solve(matrix, rhs)
-    assert got == expected
-    if got is not None:
-        assert all(type(x) is Fraction for x in got[0])
+    assert _pivot_row_solve(matrix, rhs) == _reference_solve(matrix, rhs)
 
 
 @st.composite
@@ -121,8 +138,9 @@ def reordered_systems(draw):
 @example(([[1, 2, 3], [0, 0, 1], [1, 2, 4]], [4, 5, 9], [2, 1, 0]))
 def test_row_order_changes_neither_pivots_nor_solution(system):
     matrix, rhs, order = system
-    expected = solve(matrix, rhs)
-    assert solve([matrix[i] for i in order], [rhs[i] for i in order]) == expected
+    expected = _reference_solve(matrix, rhs)
+    reordered = [matrix[i] for i in order], [rhs[i] for i in order]
+    assert _pivot_row_solve(*reordered) == expected
     rows = [[int(x * 60) for x in row] for row in matrix]  # 60 clears every denominator
     if rows:
         pivots, _ = _eliminate([rows[i] for i in order], len(rows[0]))
@@ -134,14 +152,14 @@ def test_row_order_changes_neither_pivots_nor_solution(system):
 @example(([[1, 1], [1, 1], [2, 2]], [1, 1, 3]))  # the third row stops
 def test_stop_is_the_first_inconsistent_prefix(system):
     matrix, rhs = system
+    ncols = len(matrix[0]) if matrix else 0
     rows = [[int(x * 60) for x in (*row, b)] for row, b in zip(matrix, rhs)]
-    pivots, stop = _eliminate(list(rows), len(matrix[0]) if matrix else 0)
-    first = next(
-        (i for i in range(len(rows)) if solve(matrix[: i + 1], rhs[: i + 1]) is None),
-        len(rows),
-    )
+    pivots, stop = _eliminate(list(rows), ncols)
+    prefixes = (_reference_solve(matrix[: i + 1], rhs[: i + 1]) for i in range(len(rows)))
+    first = next((i for i, x in enumerate(prefixes) if x is None), len(rows))
     assert stop == first
-    assert len(pivots) == rank([row[:-1] for row in rows[:stop]])
+    consistent = [[Fraction(x) for x in row] for row in matrix[:stop]]
+    assert len(pivots) == len(_echelonize(consistent, ncols))
 
 
 @settings(max_examples=300, deadline=None)

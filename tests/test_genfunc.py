@@ -23,9 +23,9 @@ from ratcoord import (
     to_quasi_polynomial,
 )
 from ratcoord import genfunc
-from ratcoord._exactlinalg import solve
 from ratcoord.genfunc import _denominator_period, _pmul, _prem, _primitive
 from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, assert_outcome
+from .test_exactlinalg import _reference_solve
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))  # (1+z)^2/(1-z)^2
 
@@ -332,6 +332,11 @@ class TestJson:
                 {"num": [1.5, 0.5], "den": [0.5]}, "non-integer", id="float"
             ),
             pytest.param({"num": [True], "den": [1]}, "non-integer", id="true"),
+            pytest.param({"num": [1], "den": []}, "zero denominator", id="empty_den"),
+            pytest.param({"num": [1], "den": [0]}, "zero denominator", id="zero_den"),
+            pytest.param(
+                {"num": [1], "den": [0, 0]}, "zero denominator", id="zeros_den"
+            ),
         ],
     )
     def test_malformed_rejected(self, data, message):
@@ -425,7 +430,7 @@ def _reference_fit(prefix, max_order, verify_window):
                 for k in range(start, fit_end)
             ]
             rhs = [prefix[k] for k in range(start, fit_end)]
-            solution = solve(rows, rhs) if t > 0 else ([], [])
+            solution = _reference_solve(rows, rhs) if t > 0 else ([], [])
             if solution is None:
                 continue
             if t == 0 and any(v != 0 for v in prefix[start:fit_end]):

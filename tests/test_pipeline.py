@@ -292,8 +292,10 @@ class TestCli:
             {"parts": [{"base": [0.7, 0], "periods": [[1, 0]]}]},
             {"parts": [{"base": [True, 0], "periods": [[1, 0]]}]},
             {"parts": [{"base": [0, 0], "periods": [["3", 0]]}]},
+            # only a JSON boolean says whether the set is certified
+            {"parts": [{"base": [0, 0], "periods": [[1, 0]]}], "certified": "false"},
         ],
-        ids=["missing_key", "wrong_shape", "float", "bool", "string"],
+        ids=["missing_key", "wrong_shape", "float", "bool", "string", "certified"],
     )
     def test_malformed_decompose_input_exit_two(self, tmp_path, capsys, payload):
         path = tmp_path / "set.json"

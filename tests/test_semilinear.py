@@ -129,26 +129,32 @@ class TestCountRepresentations:
         assert count_representations(A2, (3, 2)) == 0
 
     def test_counts_match_brute_force(self):
-        sets = [
-            A2,
-            LinearSet((0,), ((2,), (3,))),
-            LinearSet((1, 1), ((1, 2), (2, 1), (1, 1))),
-            LinearSet((0, 0), ((2, 0), (0, 2))),
-        ]
-        for l in sets:
+        # (set, coefficient bound, box side): every coefficient tuple that
+        # reaches the box [lo, hi]^dim has all its entries below the bound
+        cases = [
             # every period is nonnegative with a positive coordinate, so a
-            # coefficient of 9 or more leaves the grid [-1, 8]^dim
+            # coefficient of 9 or more leaves [-1, 8]^dim
+            (A2, 9, range(-1, 9)),
+            (LinearSet((0,), ((2,), (3,))), 9, range(-1, 9)),
+            (LinearSet((1, 1), ((1, 2), (2, 1), (1, 1))), 9, range(-1, 9)),
+            (LinearSet((0, 0), ((2, 0), (0, 2))), 9, range(-1, 9)),
+            # functional (1, 1) is n1 + n2 = x + y <= 12; independent periods
+            # with negative and non-integral coefficient solutions
+            (LinearSet((0, 0), ((2, -1), (-1, 2))), 13, range(-6, 7)),
+            # n1 = y - 4x <= 30 and n2 = y - 5x <= 36; no functional of the
+            # search grid is positive on both periods
+            (LinearSet((0, 0), ((1, 5), (-1, -4))), 37, range(-6, 7)),
+        ]
+        for l, bound, side in cases:
             brute = Counter(
                 tuple(
                     b + sum(n * p[i] for n, p in zip(ns, l.periods))
                     for i, b in enumerate(l.base)
                 )
-                for ns in itertools.product(range(9), repeat=len(l.periods))
+                for ns in itertools.product(range(bound), repeat=len(l.periods))
             )
-            for a in range(-1, 9):
-                for b in range(-1, 9):
-                    v = (a, b) if l.dim == 2 else (a,)
-                    assert count_representations(l, v) == brute[v], (l, v)
+            for v in itertools.product(side, repeat=l.dim):
+                assert count_representations(l, v) == brute[v], (l, v)
 
     def test_budget(self):
         l = LinearSet((0, 0), ((1, 0), (0, 1), (1, 1)))
@@ -715,3 +721,12 @@ class TestJson:
         back = semilinear_from_json(data)
         assert back.parts == d.parts
         assert back.certified is True
+
+    def test_missing_certified_is_false(self):
+        assert semilinear_from_json({"parts": []}).certified is False
+
+    @pytest.mark.parametrize("certified", ["false", 1, [0]], ids=["string", "int", "list"])
+    def test_non_boolean_certified_rejected(self, certified):
+        data = {"parts": [linear_set_to_json(A2)], "certified": certified}
+        with pytest.raises(ValueError, match="malformed semilinear set JSON: non-boolean"):
+            semilinear_from_json(data)

@@ -11,11 +11,12 @@ candidates) in each tree, and the wall seconds of each process.  The nets
 and frozen images are read from NEW_TREE; the kagome graph and a net whose
 second orbit the first cannot reach (an empty Parikh image) are written to
 a temporary directory.  A second driver then runs a fixed list of library
-calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts
-and box validation, which no gate command reaches) once per tree and prints
-their results as canonical JSON; a call that raises BudgetExceeded has that
-as its result.  The exit status is 1 when any command or library probe
-differs, 2 on a usage error, else 0.
+calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts,
+quasi-polynomial forms and box validation, which no gate command reaches)
+once per tree and prints their results as canonical JSON; a call that raises
+BudgetExceeded or NotQuasiPolynomialError has that as its result.  The exit
+status is 1 when any command or library probe differs, 2 on a usage error,
+else 0.
 Standard library only.
 """
 
@@ -57,14 +58,18 @@ sys.exit(code)
 """
 
 # argv[1]: the tree's src directory; argv[2]: the benchmark directory with
-# the nets and frozen images; prints {probe: result} as one JSON object
+# the nets and frozen images; argv[3]: the kagome graph; prints
+# {probe: result} as one JSON object
 LIBRARY_DRIVER = """
 import itertools, json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from ratcoord.automaton import build_coordination_nfa, parikh_image
 from ratcoord.errors import BudgetExceeded
-from ratcoord.periodic_graph import parse_periodic_graph
+from ratcoord.genfunc import (
+    NotQuasiPolynomialError, RationalGF, fit_rational, to_quasi_polynomial,
+)
+from ratcoord.periodic_graph import bfs_coordination, parse_periodic_graph
 from ratcoord.semilinear import (
     LinearSet, SemilinearSet, _magnitude, count_representations, disambiguate,
     enumerate_in_box, semilinear_from_json, slice_counts, validate_decomposition,
@@ -77,6 +82,15 @@ OPPOSED = SemilinearSet((
 # the far-base example of enumerate_in_box's docstring
 FAR = SemilinearSet((LinearSet((8, -7, 11, -2), ((-2, -2, -3, 3), (2, 3, -3, 0))),))
 FAR_BOX = (-5, -4, -1, 2), (-4, 0, 2, 4)
+# count_representations reads these off its pivot rows: independent periods
+# with the functional (1, 1), with no functional on its grid, and no periods
+ELIMINATED = {
+    "(2,-1),(-1,2)": LinearSet((0, 0), ((2, -1), (-1, 2))),
+    "(1,5),(-1,-4)": LinearSet((0, 0), ((1, 5), (-1, -4))),
+    "no periods": LinearSet((3, 1)),
+}
+NETS = {name: bench / "nets" / f"{name}.graph" for name in ("sql", "hcb", "pcu", "dia", "bcu")}
+NETS["kagome"] = Path(sys.argv[3])
 
 def image(net, target):
     text = (bench / "nets" / f"{net}.graph").read_text(encoding="utf-8")
@@ -96,6 +110,16 @@ def points(s, lo, hi, *budget):
 def validated(s):
     return validate_decomposition(s, disambiguate(s, box(s, 1)[1][0]), *box(s, 2))
 
+def quasi(q):  # the period, residue polynomials as strings and prefix
+    qp = to_quasi_polynomial(q)
+    polys = [[str(c) for c in poly] for poly in qp.residue_polynomials]
+    return [qp.period, polys, list(qp.exceptional_prefix)]
+
+def fitted(path):  # the fit path's GF of origin 1 at depth 30
+    g = parse_periodic_graph(path.read_text(encoding="utf-8"))
+    values = bfs_coordination(g, 1, 30).values
+    return fit_rational(values, (len(values) - 5) // 2, 5)
+
 images = {"sql": image("sql", 1), "hcb t1": image("hcb", 1), "hcb t2": image("hcb", 2)}
 probes = {
     "enumerate A2 (0,0)-(20,20)": lambda: points(SemilinearSet((A2,)), (0, 0), (20, 20)),
@@ -105,7 +129,14 @@ probes = {
     "count_representations A2": lambda: [
         count_representations(A2, v) for v in itertools.product(range(13), repeat=2)
     ],
+    "quasi-polynomial 1/(1-z-z^2)": lambda: quasi(RationalGF((1,), (1, -1, -1))),
 }
+for name, l in ELIMINATED.items():
+    probes[f"count_representations {name}"] = lambda l=l: [
+        count_representations(l, v) for v in itertools.product(range(-6, 7), repeat=2)
+    ]
+for name, path in NETS.items():
+    probes[f"quasi-polynomial {name}"] = lambda path=path: quasi(fitted(path))
 for name, s in images.items():
     probes[f"slice_counts {name}"] = lambda s=s: slice_counts(s, s.dim, 20)
 for target in (1, 2):
@@ -117,8 +148,8 @@ results = {}
 for label, probe in probes.items():
     try:
         results[label] = probe()
-    except BudgetExceeded as exc:
-        results[label] = {"BudgetExceeded": str(exc)}
+    except (BudgetExceeded, NotQuasiPolynomialError) as exc:
+        results[label] = {type(exc).__name__: str(exc)}
 print(json.dumps(results, sort_keys=True, separators=(",", ":")))
 """
 
@@ -176,11 +207,11 @@ def run(tree, argv, scratch):
     return done.stdout, done.stderr, done.returncode, calls, wall
 
 
-def library_results(tree, bench):
+def library_results(tree, bench, kagome):
     """({probe: result}, wall seconds) of the library driver in one tree."""
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-c", LIBRARY_DRIVER, str(tree / "src"), str(bench)],
+        [sys.executable, "-c", LIBRARY_DRIVER, str(tree / "src"), str(bench), str(kagome)],
         capture_output=True,
     )
     wall = time.perf_counter() - start
@@ -219,15 +250,15 @@ def main() -> int:
             print(f"{label:<26} {result:<28} {calls:>15} {wall:>15}", flush=True)
         bench = new / "ratbench"
         (before, old_wall), (after, new_wall) = (
-            library_results(tree, bench) for tree in (old, new)
+            library_results(tree, bench, kagome) for tree in (old, new)
         )
     labels = sorted(before.keys() | after.keys())
-    print(f"{'library probe':<34} {'result':<20} wall s old/new {old_wall:.2f}/{new_wall:.2f}")
+    print(f"{'library probe':<36} {'result':<20} wall s old/new {old_wall:.2f}/{new_wall:.2f}")
     probes_differ = 0
     for label in labels:
         same = label in before and before.get(label) == after.get(label)
         probes_differ += not same
-        print(f"{label:<34} {'identical' if same else 'DIFF'}", flush=True)
+        print(f"{label:<36} {'identical' if same else 'DIFF'}", flush=True)
     print(f"{differ} of {len(commands)} commands differ")
     print(f"{probes_differ} of {len(labels)} library probes differ")
     return 1 if differ or probes_differ or not labels else 0
