@@ -58,6 +58,7 @@ from .semilinear import (
     Unambiguous,
     check_unambiguous,
     count_representations,
+    decompose_shell,
     disambiguate,
     enumerate_in_box,
     linear_set_from_json,
@@ -101,6 +102,7 @@ __all__ = [
     "cross_verify",
     "cumulative_counts",
     "cumulative_to_exact",
+    "decompose_shell",
     "disambiguate",
     "enumerate_in_box",
     "fit_rational",

@@ -1,11 +1,12 @@
 """End-to-end pipeline, cross-verification harness, and command line.
 
 The pipeline produces the generating function of a coordination sequence two
-independent ways: symbolically (automaton construction, Parikh image,
-disambiguation, closed formula per part, then the (1-z) cumulative-to-exact
-step) and by exact linear-recurrence fitting of the BFS sequence with a
-predicted verification window.  Reports carry both artifacts plus pairwise
-coefficient comparisons, and serialize to deterministic JSON.
+independent ways: symbolically (automaton construction, Parikh image, a
+disjoint unambiguous cover of the image's first-distance shell certified on
+a box and checked on the doubled box, closed formula per part) and by exact
+linear-recurrence fitting of the BFS sequence with a predicted verification
+window.  Reports carry both artifacts plus pairwise coefficient comparisons,
+and serialize to deterministic JSON.
 
 Exit codes: 0 all produced artifacts agree; 2 parse/usage error;
 3 coefficient mismatch; 4 no generating function produced (no fit, budget
@@ -25,7 +26,6 @@ from .automaton import VectorNFA, build_coordination_nfa, parikh_image, run_pari
 from .errors import BudgetExceeded, DecompositionError
 from .genfunc import (
     RationalGF,
-    cumulative_to_exact,
     gf_to_json,
     gf_unambiguous_linear,
     fit_rational,
@@ -42,9 +42,10 @@ from .periodic_graph import (
 from .semilinear import (
     _magnitude,
     _malformed,
+    decompose_shell,
     disambiguate,
     enumerate_in_box,  # unused; kept bound for ratbench/tracing.py, which patches it
-    same_in_box,
+    same_shell_in_box,
     semilinear_from_json,
     semilinear_to_json,
 )
@@ -91,34 +92,43 @@ class PipelineReport:
         }
 
 
+def _checked_shell(image, dim, radius):
+    """The image's shell decomposition certified on the box of ``radius``,
+    or None if it differs from the image's shell on the doubled box."""
+    shell = decompose_shell(image, radius, SYMBOLIC_BUDGET)
+    wide = (-2 * radius,) * dim, (2 * radius,) * dim
+    return shell if same_shell_in_box(image, shell, *wide, SYMBOLIC_BUDGET) else None
+
+
 def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
-    """Cumulative-count generating function via the automaton route.
+    """Coordination-sequence generating function via the automaton route.
 
     For every target orbit: build the automaton, compute its Parikh image,
-    decompose it into disjoint unambiguous parts certified on the box of
-    radius ``largest image coordinate + DISAMBIG_MARGIN``, check that the
-    decomposition still equals the image on the doubled box, and sum the
-    closed-formula generating functions of the final-coordinate
-    projections.  Returns the sum over target orbits (the generating
-    function of the <=-distance counts); divide out 1/(1-z) for the
-    coordination sequence itself.
+    cover the image's first-distance shell (each reachable cell once, at
+    its distance) with disjoint unambiguous parts certified on the box of
+    radius r = ``largest image coordinate + DISAMBIG_MARGIN``, and check
+    that the parts still equal the shell on the doubled box.  If the check
+    fails, certify once more at 2r and check at 4r; a second failure
+    raises DecompositionError.  Returns the sum over target orbits of the
+    closed-formula generating functions of the parts' final-coordinate
+    projections: the exact-distance counts, with no (1 - z) step.
     """
     total = RationalGF.zero()
+    dim = g.dim + 1
     for target in range(1, g.num_orbits + 1):
         nfa = build_coordination_nfa(g, origin_orbit, target)
         image = parikh_image(nfa)
         radius = _magnitude(image.parts) + DISAMBIG_MARGIN
-        decomposition = disambiguate(
-            image, box_radius=radius, budget=SYMBOLIC_BUDGET
+        shell = _checked_shell(image, dim, radius) or _checked_shell(
+            image, dim, 2 * radius
         )
-        wide = (-2 * radius,) * (g.dim + 1), (2 * radius,) * (g.dim + 1)
-        if not same_in_box(image, decomposition, *wide, SYMBOLIC_BUDGET):
+        if shell is None:
             raise DecompositionError(
-                f"decomposition for target orbit {target} fails on the "
-                f"doubled box (radius {2 * radius})"
+                f"shell decomposition for target orbit {target} fails on the "
+                f"doubled box at radius {2 * radius} and again at {4 * radius}"
             )
-        for part in decomposition.parts:
-            total = total + gf_unambiguous_linear(part, g.dim + 1)
+        for part in shell.parts:
+            total = total + gf_unambiguous_linear(part, dim)
     return total
 
 
@@ -167,9 +177,7 @@ def pipeline_coordination_gf(
     symbolic_status = "ok"
     if method in ("symbolic", "both"):
         try:
-            gf_symbolic = cumulative_to_exact(
-                symbolic_coordination_gf(g, origin_orbit)
-            )
+            gf_symbolic = symbolic_coordination_gf(g, origin_orbit)
         except DecompositionError:
             symbolic_status = "decomposition_failed"
         except BudgetExceeded:

@@ -7,7 +7,10 @@ and bounded: the members of a whole set in a box come from a bit-parallel
 sweep, counting and ``validate_decomposition`` from a kernel that returns
 the multiplicity of every point of one linear set inside a box, and the
 disambiguation procedure is a restricted greedy search on the sweep's
-bitsets whose cover is certified on its box by construction.
+bitsets whose cover is certified on its box by construction.  The same
+greedy covers the first-distance shell of a coordination image
+(``decompose_shell``), whose last-coordinate projection is the
+coordination sequence itself.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class SemilinearSet:
 
     ``certified`` means the parts are known pairwise disjoint and each
     unambiguous over a verification box; it is set only by ``disambiguate``
-    (and read back from JSON), never by constructing the value.
+    and ``decompose_shell`` (and read back from JSON), never by
+    constructing the value.
     """
 
     parts: tuple[LinearSet, ...]
@@ -165,7 +169,8 @@ def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     counts over the one-point box ``[v, v]``, after the same elimination
     has checked rational feasibility when no positive functional bounds
     that search.  ``budget`` caps explored nodes and exceeding it raises
-    BudgetExceeded.
+    BudgetExceeded, except that with no such functional a v that
+    ``_reachable`` does not reach counts 0.
     """
     _check_dim(l, v)
     v = integral(v)
@@ -182,7 +187,14 @@ def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
             ok = all(r[k] % r[c] == 0 and r[k] * r[c] >= 0
                      for r, c in zip(rows, pivots))
             return 1 if ok else 0
-    return _part_counts(l, v, v, budget).get(v, 0)
+    try:
+        return _part_counts(l, v, v, budget).get(v, 0)
+    except BudgetExceeded:
+        # with no functional the kernel's search may be unbounded: a point
+        # that no sum of periods reaches is still settled, as a non-member
+        if w is None and not _reachable(l, v, budget):
+            return 0
+        raise
 
 
 def _reachable(l: LinearSet, v, budget: int) -> bool:
@@ -364,29 +376,121 @@ def validate_decomposition(
     return counts.keys() == orig_points and all(c == 1 for c in counts.values())
 
 
-def same_in_box(a: SemilinearSet, b: SemilinearSet, lo, hi, budget: int) -> bool:
-    """True iff the sets have the same points in the box, which holds every base.
-
-    Both are swept in one ``_kernels.BoxGrid`` of their bases and periods,
-    which ``budget`` caps, and compared level by level.
-    """
+def _swept_together(a: SemilinearSet, b: SemilinearSet, lo, hi, budget):
+    """One ``_kernels.BoxGrid`` of both sets' bases and periods, which
+    ``budget`` caps, and the box levels of each set in it."""
     a, b = ([(part.base, part.periods) for part in s.parts] for s in (a, b))
-    if not a + b:  # BoxGrid needs a base
-        return True
     periods = {p for _, part_periods in a + b for p in part_periods}
     weights = _positive_functional(tuple(periods), len(lo))
     bases = [base for base, _ in a + b]
     grid = _kernels.BoxGrid(bases, periods, lo, hi, weights, budget)
-    return _kernels.linear_sets_in_box(a, grid) == _kernels.linear_sets_in_box(b, grid)
+    return grid, _kernels.linear_sets_in_box(a, grid), _kernels.linear_sets_in_box(b, grid)
 
 
-def _independent_subsets(universe, max_size):
+def same_in_box(a: SemilinearSet, b: SemilinearSet, lo, hi, budget: int) -> bool:
+    """True iff the sets have the same points in the box, which holds every base.
+
+    Both are swept in one grid and compared level by level.
+    """
+    if not a.parts + b.parts:  # BoxGrid needs a base
+        return True
+    _, levels_a, levels_b = _swept_together(a, b, lo, hi, budget)
+    return levels_a == levels_b
+
+
+def same_shell_in_box(
+    image: SemilinearSet, shell: SemilinearSet, lo, hi, budget: int
+) -> bool:
+    """True iff ``shell`` has exactly the points of the image's first-distance
+    shell (see ``decompose_shell``) in the box, which holds every base.
+
+    Both are swept in one grid, as in ``same_in_box``, and the image's
+    levels are cut to its shell before the compare.
+    """
+    if not image.parts + shell.parts:
+        return True
+    grid, levels, shell_levels = _swept_together(image, shell, lo, hi, budget)
+    return _shell(grid, levels) == shell_levels
+
+
+def _shell(grid, levels):
+    """Levels of I minus (I + e_y), for I swept in a grid whose functional is
+    e_y: e_y raises the level by one and moves no cell, so level k of the
+    shell is ``I[k] & ~I[k - 1]``."""
+    dim = len(grid.weights)
+    if grid.weights != (0,) * (dim - 1) + (1,):
+        raise DecompositionError(
+            f"the shell needs the functional e_y, not {grid.weights}"
+        )
+    return [level & ~below for level, below in zip(levels, [0, *levels])]
+
+
+def _independent_subsets(universe, max_size, width=None):
+    """Subsets of at most ``max_size`` periods whose first ``width``
+    coordinates (all by default) are linearly independent."""
     subsets = [()]
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(universe, size):
-            if rank(combo) == size:
+            if rank([p[:width] for p in combo]) == size:
                 subsets.append(combo)
+    if len(subsets) > 5000:
+        raise DecompositionError(
+            f"period universe too large ({len(universe)} periods) for the "
+            "restricted search"
+        )
     return subsets
+
+
+def _popcount(levels):
+    return sum(map(int.bit_count, levels))
+
+
+def _greedy_cover(grid, uncovered, subsets, steps, radius):
+    """Disjoint unambiguous cones that cover the uncovered box levels exactly.
+
+    The levels are walked in (level, bit) order, the order of the
+    functional, then of the point.  Every period raises the level, so each
+    level's uncovered bits, decoded when the walk reaches it, are the bases
+    u of the chosen cones ``L(u; P)``, with P one of ``subsets``.  Every
+    accepted cone must have only uncovered points in the box
+    ``[-radius, radius]^dim``, so a subset is tried only if each of its
+    periods q has u + q outside the box or uncovered; ``steps`` holds every
+    period of a subset, and the other subsets contain an inadmissible
+    point.  The admissible cone with the most box points wins, then the one
+    with fewer periods, then the smaller periods.  Each candidate cone is
+    swept up from u in the grid, and it is admissible iff no level has a
+    cone bit that is not uncovered.  ``uncovered`` is cleared in place.
+    """
+    def is_uncovered(point):
+        k, bit = grid.index(point)
+        return uncovered[k] >> bit & 1
+
+    def cones(base, admissible):
+        # the empty subset comes first and its cone {base} always qualifies
+        for periods in subsets:
+            if not admissible.issuperset(periods):
+                continue
+            cone = _kernels.linear_points_in_box(base, periods, grid)
+            if list(map(and_, cone, uncovered)) == cone:
+                yield (-_popcount(cone), len(periods), periods), cone
+
+    chosen: list[LinearSet] = []
+    # decode reads a level of ``uncovered`` only when the walk reaches it,
+    # so the cones cleared in place below are never decoded
+    for base in grid.decode(uncovered):
+        if len(chosen) >= 1000:
+            raise DecompositionError("greedy cover exceeded 1000 parts")
+        # only a step inside the box is looked up: it is a point of the grid,
+        # whose levels run from the lowest base to the box's top
+        admissible = {
+            q for q in steps
+            if max(map(abs, step := tuple(map(add, base, q)))) > radius
+            or is_uncovered(step)
+        }
+        (_, _, periods), cone = min(cones(base, admissible))
+        chosen.append(LinearSet(base, periods))
+        uncovered[:] = [u & ~c for u, c in zip(uncovered, cone)]
+    return _mark_certified(SemilinearSet(tuple(chosen)))
 
 
 def disambiguate(
@@ -396,24 +500,15 @@ def disambiguate(
 ) -> SemilinearSet:
     """Equivalent-on-box union of pairwise disjoint unambiguous linear sets.
 
-    Restricted greedy search on one ``_kernels.BoxGrid`` of the box, the
-    bases and the periods, where every set is one bitset per level.  The
-    input is swept into it and walked in (level, bit) order, the order of
-    the functional, then of the point.  Every period raises the level, so
-    each level's uncovered bits, decoded when the walk reaches it, are the
-    bases u of the chosen parts.  Candidate parts are cones ``L(u; P)``
-    with P a linearly independent subset of the input's periods.  Every
-    accepted candidate must have only uncovered points of the input in the
-    box, so a subset is tried only if each of its periods q has u + q
-    outside the box or uncovered; the other subsets contain an
-    inadmissible point.  The admissible cone with the most box points
-    wins, then the one with fewer periods, then the smaller periods.  Each
-    candidate cone is swept up from u in the grid, and it is admissible iff
-    no level has a cone bit that is not uncovered.  So the cover is
-    box-certified by construction: its cones are disjoint, unambiguous
-    (independent by rank) and leave nothing uncovered.  The input itself
-    is returned when its parts are independent and their popcounts, each
-    swept alone, add up to the input's: then they are pairwise disjoint.
+    Restricted greedy search (``_greedy_cover``) on one ``_kernels.BoxGrid``
+    of the box, the bases and the periods, where every set is one bitset
+    per level.  The input is swept into it and covered by cones
+    ``L(u; P)`` with P a linearly independent subset of the input's
+    periods, of at most 5,000 subsets.  So the cover is box-certified by
+    construction: its cones are disjoint, unambiguous (independent by
+    rank) and leave nothing uncovered.  The input itself is returned when
+    its parts are independent and their popcounts, each swept alone, add up
+    to the input's: then they are pairwise disjoint.
 
     The verification box is ``[-r, r]^dim`` with r defaulting to four times
     the largest coordinate magnitude among bases and periods; an explicit
@@ -447,52 +542,52 @@ def disambiguate(
     pairs = [(part.base, part.periods) for part in parts]
     uncovered = _kernels.linear_sets_in_box(pairs, grid)
 
-    def popcount(levels):
-        return sum(map(int.bit_count, levels))
-
     # fast path: independent parts that are pairwise disjoint in the box
     if all(rank(part.periods) == len(part.periods) for part in parts):
         sweeps = (_kernels.linear_sets_in_box([pair], grid) for pair in pairs)
-        if sum(map(popcount, sweeps)) == popcount(uncovered):
+        if sum(map(_popcount, sweeps)) == _popcount(uncovered):
             return _mark_certified(SemilinearSet(parts))
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
-    if len(subsets) > 5000:
-        raise DecompositionError(
-            f"period universe too large ({len(universe)} periods) for the "
-            "restricted search"
-        )
+    return _greedy_cover(grid, uncovered, subsets, universe, radius)
 
-    def is_uncovered(point):
-        k, bit = grid.index(point)
-        return uncovered[k] >> bit & 1
 
-    def cones(base, admissible):
-        # the empty subset comes first and its cone {base} always qualifies
-        for periods in subsets:
-            if not admissible.issuperset(periods):
-                continue
-            cone = _kernels.linear_points_in_box(base, periods, grid)
-            if list(map(and_, cone, uncovered)) == cone:
-                yield (-popcount(cone), len(periods), periods), cone
+def decompose_shell(
+    image: SemilinearSet, box_radius: int, budget: int = 1_000_000
+) -> SemilinearSet:
+    """Disjoint unambiguous cover of a coordination image's shell on a box.
 
-    chosen: list[LinearSet] = []
-    # decode reads a level of ``uncovered`` only when the walk reaches it,
-    # so the cones cleared in place below are never decoded
-    for base in grid.decode(uncovered):
-        if len(chosen) >= 1000:
-            raise DecompositionError("greedy cover exceeded 1000 parts")
-        # only a step inside the box is looked up: it is a point of the grid,
-        # whose levels run from the lowest base to the box's top
-        admissible = {
-            q for q in universe
-            if max(map(abs, step := tuple(map(add, base, q)))) > radius
-            or is_uncovered(step)
-        }
-        (_, _, periods), cone = min(cones(base, admissible))
-        chosen.append(LinearSet(base, periods))
-        uncovered[:] = [u & ~c for u, c in zip(uncovered, cone)]
-    return _mark_certified(SemilinearSet(tuple(chosen)))
+    Every part of a coordination image carries the waiting period e_y (the
+    last unit vector), so the image is I = {(x, y) : y >= dist(x)} and its
+    shell F = I minus (I + e_y) = {(x, dist(x))} holds each reachable cell
+    once, at its first distance: the generating function of F's last
+    coordinate is the coordination sequence's.  The image is swept into one
+    ``_kernels.BoxGrid`` of the box ``[-r, r]^dim`` (r is ``box_radius``,
+    clamped up to hold every base) with the functional e_y, whose level k
+    of F is ``I[k] & ~I[k - 1]``; any other functional raises
+    DecompositionError.  ``_greedy_cover`` covers F's box points with cones
+    ``L(u; P)``, P a set of periods whose cell parts (all coordinates but
+    the last) are linearly independent: a cone inside F holds at most one
+    point per cell, and two coefficient tuples that differ by an integer
+    kernel vector of the cell parts give two points of one cell.  So P has
+    at most ``dim - 1`` periods and no e_y.  More than 5,000 subsets raise
+    DecompositionError.  ``budget`` caps the grid as in ``disambiguate``.
+    """
+    parts = tuple(dict.fromkeys(image.parts))
+    if not parts:
+        return _mark_certified(SemilinearSet(()))
+    dim = parts[0].dim
+    radius = max(box_radius, _magnitude(parts) + 1)
+    universe = sorted({p for part in parts for p in part.periods})
+    weights = _positive_functional(tuple(universe), dim)
+    grid = _kernels.BoxGrid(
+        [part.base for part in parts], universe,
+        (-radius,) * dim, (radius,) * dim, weights, budget,
+    )
+    pairs = [(part.base, part.periods) for part in parts]
+    shell = _shell(grid, _kernels.linear_sets_in_box(pairs, grid))
+    subsets = _independent_subsets(universe, dim - 1, dim - 1)
+    return _greedy_cover(grid, shell, subsets, universe, radius)
 
 
 # ---------------------------------------------------------------------------

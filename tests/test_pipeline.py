@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
-from functools import lru_cache
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratcoord import (
+    CoverVertex,
     DecompositionError,
     LinearSet,
     PeriodicGraph,
@@ -19,7 +20,8 @@ from ratcoord import (
     nfa_to_json,
     build_coordination_nfa,
     canonical_edge_orbit,
-    cumulative_to_exact,
+    cover_neighbors,
+    decompose_shell,
     linear_set_to_json,
     parikh_image,
     parse_periodic_graph,
@@ -28,11 +30,32 @@ from ratcoord import (
     validate_decomposition,
 )
 from ratcoord.cli import DISAMBIG_MARGIN, main
-from ratcoord.semilinear import _magnitude
-from .conftest import AMBIGUOUS_EXAMPLE, GRAPH_TEXTS, HONEYCOMB_TEXT, SQUARE_TEXT
+from ratcoord.semilinear import _magnitude, _part_counts
+from .conftest import (
+    AMBIGUOUS_EXAMPLE,
+    GRAPH_TEXTS,
+    HONEYCOMB_TEXT,
+    PCU_TEXT,
+    SQUARE_TEXT,
+)
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))
 HONEYCOMB_GF = RationalGF((1, 1, 1), (1, -2, 1))
+
+
+def _first_distances(g, origin_orbit, depth):
+    """{cover vertex: distance} within ``depth`` of the origin, by plain BFS."""
+    origin = CoverVertex(origin_orbit, (0,) * g.dim)
+    distances, frontier = {origin: 0}, [origin]
+    for distance in range(1, depth + 1):
+        reached = []
+        for v in frontier:
+            for u in cover_neighbors(g, v):
+                if u not in distances:
+                    distances[u] = distance
+                    reached.append(u)
+        frontier = reached
+    return distances
 
 
 class TestPipeline:
@@ -71,7 +94,8 @@ class TestPipeline:
 
     def test_symbolic_path_stays_in_grids(self, square, monkeypatch):
         # sql: neither the counts kernel nor enumerate_in_box, and per target
-        # one grid for disambiguate and one for the doubled-box check
+        # one grid for the shell decomposition and one for the doubled-box
+        # check
         import ratcoord.cli as cli
         from ratcoord import _kernels, semilinear
 
@@ -89,8 +113,75 @@ class TestPipeline:
 
         monkeypatch.setattr(_kernels, "BoxGrid", counted)
         gf = cli.symbolic_coordination_gf(square, 1)
-        assert cumulative_to_exact(gf) == SQUARE_GF
+        assert gf == SQUARE_GF
         assert len(grids) == 2 * square.num_orbits
+
+    def test_failed_check_certifies_once_more_at_twice_the_radius(
+        self, square, monkeypatch
+    ):
+        # the first doubled-box check is forced to fail after building its
+        # grid; the retry decomposes at 2r, checks at 4r and passes
+        import ratcoord.cli as cli
+        from ratcoord import _kernels
+
+        check, decompose, checks, radii = (
+            cli.same_shell_in_box, cli.decompose_shell, [], []
+        )
+
+        def fail_first(*args):
+            checks.append(check(*args))
+            return checks[-1] and len(checks) > 1
+
+        def recorded(image, radius, budget):
+            radii.append(radius)
+            return decompose(image, radius, budget)
+
+        grid_class, grids = _kernels.BoxGrid, []
+
+        def counted(*args):
+            grids.append(args)
+            return grid_class(*args)
+
+        monkeypatch.setattr(cli, "same_shell_in_box", fail_first)
+        monkeypatch.setattr(cli, "decompose_shell", recorded)
+        monkeypatch.setattr(_kernels, "BoxGrid", counted)
+        report = cli.pipeline_coordination_gf(square, 1, "both", 30)
+        assert report.symbolic_status == "ok"
+        assert report.gf_symbolic == SQUARE_GF
+        assert report.all_ok()
+        r = _magnitude(parikh_image(build_coordination_nfa(square, 1, 1)).parts)
+        r += DISAMBIG_MARGIN
+        assert radii == [r, 2 * r]
+        assert checks == [True, True]
+        assert len(grids) == 4
+
+    @pytest.mark.parametrize(
+        "text,scale",
+        [(SQUARE_TEXT, 4), (HONEYCOMB_TEXT, 4), (PCU_TEXT, 2)],
+        ids=["sql", "hcb", "pcu"],
+    )
+    def test_shell_parts_are_the_first_distances(self, text, scale):
+        # the shell parts certified at radius r, counted one part at a time by
+        # the counts kernel on the box of scale * r: every point has one
+        # representation, and the points are the cells with their BFS
+        # distance
+        g = parse_periodic_graph(text)
+        for target in range(1, g.num_orbits + 1):
+            image = parikh_image(build_coordination_nfa(g, 1, target))
+            r = _magnitude(image.parts) + DISAMBIG_MARGIN
+            shell = decompose_shell(image, r)
+            far = scale * r
+            box = (-far,) * (g.dim + 1), (far,) * (g.dim + 1)
+            counts = Counter()
+            for part in shell.parts:
+                counts.update(_part_counts(part, *box, 10**7))
+            assert set(counts.values()) == {1}
+            first = _first_distances(g, 1, far)  # far may differ by target
+            assert counts.keys() == {
+                (*v.shift, distance)
+                for v, distance in first.items()
+                if v.orbit == target and max(map(abs, v.shift)) <= far
+            }
 
     def test_unknown_method(self, square):
         with pytest.raises(ValueError):
@@ -109,12 +200,13 @@ class TestCrossVerify:
     def test_corrupted_symbolic_is_flagged(self, square, monkeypatch):
         import ratcoord.cli as cli
 
-        exact = cli.cumulative_to_exact
+        symbolic = cli.symbolic_coordination_gf
 
-        def tamper(q):
-            return exact(q) + RationalGF((0, 0, 0, 1))  # bump coefficient 3
+        def tamper(g, origin_orbit):
+            # bump coefficient 3
+            return symbolic(g, origin_orbit) + RationalGF((0, 0, 0, 1))
 
-        monkeypatch.setattr(cli, "cumulative_to_exact", tamper)
+        monkeypatch.setattr(cli, "symbolic_coordination_gf", tamper)
         report = cross_verify(square, 1, 20)
         assert not report.all_ok()
         bad = {
@@ -406,8 +498,8 @@ class TestMoreNets:
 
     @pytest.mark.parametrize("name", ["square", "honeycomb"])
     def test_decomposition_holds_on_four_times_the_radius(self, graphs, name):
-        # the pipeline certifies on radius r and rechecks on 2r; the parts
-        # must also agree with the image far beyond both
+        # disambiguate certifies the image on radius r; its parts must also
+        # agree with the image far beyond it
         from ratcoord.cli import DISAMBIG_MARGIN
         from ratcoord.semilinear import _magnitude
 
@@ -420,41 +512,31 @@ class TestMoreNets:
             assert validate_decomposition(image, decomposition, *box)
 
 
-# Random quotient graphs whose certification box is too small (ROADMAP.md,
-# open item 2): the box cuts the path-length axis where new bases appear, and
-# the doubled-box check rejects the decomposition.
+# Graphs whose whole Parikh image failed the doubled-box check when the
+# symbolic path decomposed the image, not its first-distance shell (ROADMAP
+# item 2): four random quotient graphs, and the 2 x 1 supercell of hcb,
+# which failed from origins 1 and 2.
 SMALL_BOX_GRAPHS = [
     "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 1\nedge 1 2 1 1\n",
     "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 1\nedge 1 2 1 -1\nedge 2 2 0 1\n",
     "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 0\nedge 1 2 1 1\n",
     "dim 2\nvertices 2\nedge 1 2 -1 1\nedge 1 2 0 -1\nedge 1 2 1 1\nedge 2 2 1 -1\n",
+    "dim 2\nvertices 4\nedge 1 3 0 0\nedge 1 3 0 1\nedge 1 4 0 0\n"
+    "edge 2 3 1 0\nedge 2 4 0 0\nedge 2 4 0 1\n",
 ]
-SMALL_BOX_IDS = ["graph1", "graph2", "graph3", "graph4"]
-
-
-@lru_cache(maxsize=None)
-def _small_box_report(text):
-    return cross_verify(parse_periodic_graph(text), 1, 24)
+SMALL_BOX_IDS = ["graph1", "graph2", "graph3", "graph4", "hcb2x1"]
 
 
 class TestCertificationBoxTooSmall:
     @pytest.mark.parametrize("text", SMALL_BOX_GRAPHS, ids=SMALL_BOX_IDS)
-    def test_fails_explicitly(self, text):
-        report = _small_box_report(text)
-        assert report.symbolic_status == "decomposition_failed"
-        assert report.fit_status == "ok"
-        assert report.all_ok()
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: the certification box misses cells whose "
-        "first distance exceeds its radius",
-    )
-    @pytest.mark.parametrize("text", SMALL_BOX_GRAPHS, ids=SMALL_BOX_IDS)
     def test_decomposes(self, text):
-        report = _small_box_report(text)
-        assert report.symbolic_status == "ok"
-        assert report.all_ok()
+        g = parse_periodic_graph(text)
+        for origin in range(1, g.num_orbits + 1):
+            report = cross_verify(g, origin, 24)
+            assert report.symbolic_status == "ok", origin
+            assert report.fit_status == "ok", origin
+            assert report.gf_symbolic == report.gf_fit, origin
+            assert report.all_ok(), origin
 
 
 @st.composite
@@ -556,22 +638,27 @@ class TestExitCodes:
     def test_doubled_box_check_flags_wrong_decomposition(self, square, monkeypatch):
         import ratcoord.cli as cli
 
-        decompose = cli.disambiguate
+        decompose, radii = cli.decompose_shell, []
 
-        def add_far_point(image, box_radius, budget):
+        def add_far_point(image, r, budget):
             # (2r, 0, r + 1) lies outside the r-box, inside the doubled box,
-            # and outside the square image (a cell 2r away needs 2r steps)
-            result = decompose(image, box_radius=box_radius, budget=budget)
-            r = box_radius
+            # and outside the square image's shell (a cell 2r away is at
+            # distance 2r); it is added at r and again at 2r
+            radii.append(r)
+            result = decompose(image, r, budget)
             extra = LinearSet((2 * r, 0, r + 1), ())
             return SemilinearSet(result.parts + (extra,))
 
-        monkeypatch.setattr(cli, "disambiguate", add_far_point)
+        monkeypatch.setattr(cli, "decompose_shell", add_far_point)
         report = cli.pipeline_coordination_gf(square, 1, "both", 20)
         assert report.symbolic_status == "decomposition_failed"
         assert report.gf_symbolic is None
         assert report.gf_fit == SQUARE_GF
         assert cli._report_exit_code(report) == 0
+        r = radii[0]
+        assert radii == [r, 2 * r]
+        with pytest.raises(DecompositionError, match=f"radius {2 * r} and again at {4 * r}"):
+            cli.symbolic_coordination_gf(square, 1)
 
 
 class TestOriginsAndDisconnected:

@@ -17,6 +17,7 @@ from ratcoord import (
     Unambiguous,
     check_unambiguous,
     count_representations,
+    decompose_shell,
     disambiguate,
     enumerate_in_box,
     linear_set_from_json,
@@ -36,6 +37,7 @@ from ratcoord.semilinear import (
     _positive_functional,
     _reachable,
     same_in_box,
+    same_shell_in_box,
 )
 from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points, assert_outcome
 
@@ -167,6 +169,13 @@ class TestCountRepresentations:
         l = LinearSet((0, 0), ((1, -1), (-1, 1)))
         with pytest.raises(BudgetExceeded):
             count_representations(l, (0, 0))
+
+    def test_non_member_of_zero_sum_periods(self):
+        # (1, -1) = (2, -2) / 2 is rationally reachable, not integrally, and
+        # no functional bounds the counts kernel: the point search says 0
+        l = LinearSet((0, 0), ((2, -2), (-2, 2)))
+        assert count_representations(l, (1, -1)) == 0
+        assert count_representations(l, (1, 0)) == 0
 
     def test_nonintegral_vector_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -565,6 +574,35 @@ class TestSameInBox:
         assert same_in_box(empty, empty, *self.BOX, 10**6)
         origin = SemilinearSet((LinearSet((0, 0)),))
         assert not same_in_box(empty, origin, *self.BOX, 10**6)
+
+
+class TestDecomposeShell:
+    # the image of the chain net: the cells x within y steps
+    CHAIN = SemilinearSet((LinearSet((0, 0), ((-1, 1), (0, 1), (1, 1))),))
+    BOX = (-12, -12), (12, 12)
+
+    def test_chain_shell(self):
+        # the shell {(x, |x|)}: two rays, the smaller period's first
+        shell = decompose_shell(self.CHAIN, 6)
+        assert shell.certified
+        assert shell.parts == (
+            LinearSet((0, 0), ((-1, 1),)),
+            LinearSet((1, 1), ((1, 1),)),
+        )
+        assert same_shell_in_box(self.CHAIN, shell, *self.BOX, 10**6)
+        assert not same_shell_in_box(self.CHAIN, self.CHAIN, *self.BOX, 10**6)
+
+    def test_empty_image(self):
+        empty = SemilinearSet(())
+        assert decompose_shell(empty, 4).parts == ()
+        assert same_shell_in_box(empty, empty, *self.BOX, 10**6)
+
+    def test_functional_other_than_e_y_is_rejected(self):
+        # A2's periods take the functional (1, 1)
+        with pytest.raises(DecompositionError, match="e_y"):
+            decompose_shell(SemilinearSet((A2,)), 8)
+        with pytest.raises(DecompositionError, match="e_y"):
+            same_shell_in_box(SemilinearSet((A2,)), A_FULL, *self.BOX, 10**6)
 
 
 def _reference_cover(s, radius):

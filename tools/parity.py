@@ -8,9 +8,10 @@ tree's package and calls ``ratcoord.cli.main``.  For each command the
 script prints whether stdout, stderr and the exit code are identical, the
 number of calls of ``_kernels.linear_points_in_box`` (the greedy's
 candidates) in each tree, and the wall seconds of each process.  The nets
-and frozen images are read from NEW_TREE; the kagome graph and a net whose
-second orbit the first cannot reach (an empty Parikh image) are written to
-a temporary directory.  A second driver then runs a fixed list of library
+and frozen images are read from NEW_TREE; the kagome graph, a net whose
+second orbit the first cannot reach (an empty Parikh image), the random
+graph G1 and the 2 x 1 supercell of hcb (both of ROADMAP item 2) are
+written to a temporary directory.  A second driver then runs a fixed list of library
 calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts,
 quasi-polynomial forms and box validation, which no gate command reaches)
 once per tree and prints their results as canonical JSON; a call that raises
@@ -35,6 +36,11 @@ KAGOME = (
     "edge 2 3 0 0\nedge 2 3 1 -1\n"
 )
 UNREACHABLE = "dim 1\nvertices 2\nedge 1 1 1\n"
+G1 = "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 1\nedge 1 2 1 1\n"
+HCB_2X1 = (
+    "dim 2\nvertices 4\nedge 1 3 0 0\nedge 1 3 0 1\nedge 1 4 0 0\n"
+    "edge 2 3 1 0\nedge 2 4 0 0\nedge 2 4 0 1\n"
+)
 
 # argv[1]: the tree's src directory; argv[2]: file for the call count;
 # the rest is the command line
@@ -135,6 +141,10 @@ for name, l in ELIMINATED.items():
     probes[f"count_representations {name}"] = lambda l=l: [
         count_representations(l, v) for v in itertools.product(range(-6, 7), repeat=2)
     ]
+# rationally but not integrally reachable, with no functional on the periods
+probes["count_representations non-member (2,-2),(-2,2)"] = lambda: (
+    count_representations(LinearSet((0, 0), ((2, -2), (-2, 2))), (1, -1))
+)
 for name, path in NETS.items():
     probes[f"quasi-polynomial {name}"] = lambda path=path: quasi(fitted(path))
 for name, s in images.items():
@@ -154,8 +164,9 @@ print(json.dumps(results, sort_keys=True, separators=(",", ":")))
 """
 
 
-def gate_commands(nets, inputs, kagome, unreachable):
-    """(label, argv) of every gate command."""
+def gate_commands(nets, inputs, kagome, unreachable, extra):
+    """(label, argv) of every gate command; ``extra`` is a list of
+    (path, name, origins) verified after the others."""
     commands = []
     verified = [(nets / f"{name}.graph", name, origins)
                 for name, origins in (("sql", 1), ("hcb", 2), ("hxl", 1), ("pcu", 1))]
@@ -190,6 +201,10 @@ def gate_commands(nets, inputs, kagome, unreachable):
         radius = str(magnitude + 8)
         commands.append((f"decompose {target} r={radius}", argv + ["--box-radius", radius]))
         commands.append((f"decompose {target} default", argv))
+    for path, name, origins in extra:
+        for origin in range(1, origins + 1):
+            argv = ["verify", str(path), "--origin", str(origin)]
+            commands.append((f"verify {name} {origin}", argv + ["--depth", "30", "--json"]))
     return commands
 
 
@@ -234,8 +249,14 @@ def main() -> int:
         kagome.write_text(KAGOME, encoding="utf-8")
         unreachable = scratch / "unreachable.graph"
         unreachable.write_text(UNREACHABLE, encoding="utf-8")
+        extra = []
+        for name, text, origins in (("G1", G1, 2), ("hcb2x1", HCB_2X1, 4)):
+            path = scratch / f"{name}.graph"
+            path.write_text(text, encoding="utf-8")
+            extra.append((path, name, origins))
         commands = gate_commands(
-            new / "ratbench" / "nets", new / "ratbench" / "inputs", kagome, unreachable
+            new / "ratbench" / "nets", new / "ratbench" / "inputs", kagome,
+            unreachable, extra,
         )
         print(f"{'command':<26} {'result':<28} {'calls old/new':>15} {'wall s old/new':>15}")
         for label, command in commands:
