@@ -36,6 +36,7 @@ from .genfunc import (
     gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
+    gf_unambiguous_sum,
     series_coeffs,
     to_quasi_polynomial,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "gf_from_json",
     "gf_to_json",
     "gf_unambiguous_linear",
+    "gf_unambiguous_sum",
     "kernel_backend",
     "linear_set_from_json",
     "linear_set_to_json",

@@ -1,19 +1,22 @@
 """Hot-loop kernels: cover BFS, run enumeration and box enumeration.
 
 Everything is pure Python; there is no compiled backend.  Run enumeration
-keeps one partial run per (state, visited-state mask, Parikh vector) and
-returns (mask, vector) profiles.  Cover BFS is word-parallel: a layer is
-one integer per orbit, a bitset over the cells in reach, and an edge moves
-a whole layer with one shift.  Box enumeration sweeps a :class:`BoxGrid`
-of the same kind (a level per value of a functional, a period moves a
-whole level with one shift, and the first cell axis has the largest place
-value, so a level's bits run in the lexicographic order of its points).
-The grids are built in ``semilinear``, where every whole-set question is
-one sweep: ``disambiguate`` sweeps its input and candidate cones, certifies
-by popcount and decodes only the bases it chooses, the doubled-box check
-compares two sets' levels, and ``enumerate_in_box`` decodes one union.  A
-search over partial sums gives the points of one linear set with their
-representation counts, for counting, membership and
+for the Parikh image keeps one partial run per (state, visited-state mask,
+Parikh vector) and returns (mask, vector) profiles; the oracle's own kernel
+keys on (state, vector) alone.  Both keep the first, shortest run to a key,
+which loses no continuation, and count keys against their budget.  Cover
+BFS and the oracle's kernel are word-parallel: a layer is one integer per
+orbit or state, a bitset over the cells or vectors in reach, and an edge or
+transition moves a whole layer with one shift.  Box enumeration sweeps a
+:class:`BoxGrid` of the same kind (a level per value of a functional, a
+period moves a whole level with one shift, and the first cell axis has the
+largest place value, so a level's bits run in the lexicographic order of
+its points).  The grids are built in ``semilinear``, where every whole-set
+question is one sweep: ``disambiguate`` sweeps its input and candidate
+cones, certifies by popcount and decodes only the bases it chooses, the
+doubled-box check compares two sets' levels, and ``enumerate_in_box``
+decodes one union.  A search over partial sums gives the points of one
+linear set with their representation counts, for counting, membership and
 ``validate_decomposition``; it and ``enumerate_in_box`` share one test for
 a base past the box.  The public modules call these kernels through this
 module's attributes (``_kernels.name``), so a wrapper installed here sees
@@ -24,7 +27,7 @@ orbits/states and convert).
 from __future__ import annotations
 
 from itertools import accumulate, count, repeat
-from operator import add, floordiv, mod, mul
+from operator import add, floordiv, mod, mul, or_
 
 from .errors import BudgetExceeded
 
@@ -92,7 +95,7 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
 
 
 def accepting_run_profiles(
-    num_states, sources, targets, outputs, initial, final, max_len, max_entries
+    num_states, sources, targets, outputs, initial, final, out_dim, max_len, max_entries
 ):
     """Profiles (visited-state mask, Parikh vector) of accepting runs.
 
@@ -111,7 +114,7 @@ def accepting_run_profiles(
         out_by_state[source].append((target, 1 << target, output))
     final_set = set(final)
 
-    zero = (0,) * (len(outputs[0]) if outputs else 0)
+    zero = (0,) * out_dim
     frontier = [(s, 1 << s, zero) for s in sorted(set(initial))]
     visited = set(frontier)
     accepted = {(mask, zero) for s, mask, _ in frontier if s in final_set}
@@ -132,6 +135,49 @@ def accepting_run_profiles(
                     accepted.add(key[1:])
         frontier = nxt
     return accepted
+
+
+def accepting_run_vectors(
+    num_states, sources, targets, outputs, initial, final, out_dim, max_len, max_entries
+):
+    """Parikh vectors of the accepting runs of at most ``max_len`` transitions.
+
+    Word-parallel like cover BFS: axis i of a mixed-radix grid spans the sums
+    of up to ``max_len`` outputs (so no step carries into the next axis),
+    each state holds one bitset over it, and a transition moves a state's new
+    vectors with one shift.  A round keeps only the (state, vector) pairs not
+    reached before: the first run to reach a pair is its shortest, and every
+    continuation of a later one is one of the first, so the final states'
+    bits are exactly the accepting runs' vectors.  More than ``max_entries``
+    pairs raise BudgetExceeded, and so does a span of more than
+    ``64 * max_entries`` bits over all states, before any search.
+    """
+    axes = list(zip((0,) * out_dim, *outputs))  # each output coordinate, and 0
+    lows = [max_len * min(axis) for axis in axes]
+    widths = [max_len * (max(axis) - min(axis)) + 1 for axis in axes]
+    *places, span = accumulate([1, *widths], mul)
+    if span * num_states > 64 * max_entries:
+        raise BudgetExceeded(f"run vectors would span more than {64 * max_entries} bits")
+    moves = [[] for _ in range(num_states)]
+    for source, target, output in zip(sources, targets, outputs):
+        moves[source].append((target, sum(map(mul, output, places))))
+    zero = -sum(map(mul, lows, places))  # the bit of the zero vector
+    frontier = [(state in initial) << zero for state in range(num_states)]
+    reached, entries = [0] * num_states, 0
+    for k in range(max_len + 1):
+        entries += sum(map(int.bit_count, frontier))
+        if entries > max_entries:
+            raise BudgetExceeded(f"run enumeration exceeded {max_entries} states")
+        reached = list(map(or_, reached, frontier))
+        nxt = [0] * num_states
+        for layer, spec in zip(frontier, moves):
+            for target, step in spec if layer and k < max_len else ():
+                nxt[target] |= layer << step if step >= 0 else layer >> -step
+        frontier = [layer & ~seen for layer, seen in zip(nxt, reached)]
+    accepted = 0
+    for state in final:
+        accepted |= reached[state]
+    return set(zip(*_columns(accepted, lows, widths, places)))
 
 
 def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
@@ -346,19 +392,24 @@ class BoxGrid:
         for k, layer in enumerate(layers):
             if not layer:
                 continue
-            # bit j is character j of the reversed binary string, so the runs
-            # of zeros between ones give the set bits; then one digit per
-            # cell axis
-            gaps = bin(layer)[:1:-1].split("1")
-            gaps.pop()
-            index = list(map(add, accumulate(map(len, gaps)), count()))
-            columns = []
-            for low, stride, place in zip(self.lows, self.strides, self.places):
-                digits = map(mod, map(floordiv, index, repeat(place)), repeat(stride))
-                columns.append(map(add, digits, repeat(low)))
+            columns = _columns(layer, self.lows, self.strides, self.places)
             if self.level_axis is not None:
-                columns.insert(self.level_axis, repeat(self.first + k, len(gaps)))
+                columns.insert(self.level_axis, repeat(self.first + k, layer.bit_count()))
             yield from zip(*columns) if columns else [()]
+
+
+def _columns(layer, lows, strides, places):
+    """One iterator per axis over the coordinates of the set bits of
+    ``layer``: bit j has digit ``j // place % stride + low``."""
+    # bit j is character j of the reversed binary string, so the runs of
+    # zeros between ones give the set bits
+    gaps = bin(layer)[:1:-1].split("1")
+    gaps.pop()
+    index = list(map(add, accumulate(map(len, gaps)), count()))
+    return [
+        map(add, map(mod, map(floordiv, index, repeat(place)), repeat(stride)), repeat(low))
+        for low, stride, place in zip(lows, strides, places)
+    ]
 
 
 def _box_top(weights, lo, hi):

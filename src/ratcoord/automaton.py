@@ -12,7 +12,8 @@ accepting run to one that visits the same states, has at most
 ``num_states * (num_states - 1)`` transitions, and differs from the original
 by elementary circuits through those states; the circuits become the
 periods.  The run-enumeration oracle provides the ground truth this
-construction is tested against.
+construction is tested against: it searches every run up to a length bound,
+keyed on (state, vector) only, with its own kernel.
 """
 
 from __future__ import annotations
@@ -100,17 +101,17 @@ def build_coordination_nfa(
     )
 
 
-def _run_profiles(a: VectorNFA, max_len, max_entries):
+def _kernel_args(a: VectorNFA):
+    """The automaton as the run kernels take it, 0-based."""
     distinct = a.distinct_transitions
-    return _kernels.accepting_run_profiles(
+    return (
         a.num_states,
         [s - 1 for s, _, _ in distinct],
         [t - 1 for _, _, t in distinct],
         [output for _, output, _ in distinct],
         [s - 1 for s in sorted(a.initial)],
         [s - 1 for s in sorted(a.final)],
-        max_len,
-        max_entries,
+        a.out_dim,
     )
 
 
@@ -119,15 +120,16 @@ def run_parikh_oracle(
 ) -> set[ParikhVector]:
     """Exact set of Parikh images of accepting runs of length <= max_len.
 
-    Exhaustive over runs, deduplicated on (state, visited states,
-    accumulated vector) at the shortest run reaching each key; any
-    continuation of a longer run collapsed this way is one of the shortest,
-    so the set of Parikh images is preserved exactly.  Raises
-    BudgetExceeded when the search outgrows ``max_entries``.
+    Exhaustive over runs, deduplicated on (state, accumulated vector) at
+    the shortest run reaching each pair, whose continuations include those
+    of every longer one, so the set of Parikh images is exact.  Its kernel
+    is not the one ``parikh_image`` uses.  Raises BudgetExceeded when the
+    search holds more than ``max_entries`` (state, vector) pairs or its
+    bitsets would span more than ``64 * max_entries`` bits.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    return {parikh for _, parikh in _run_profiles(a, max_len, max_entries)}
+    return _kernels.accepting_run_vectors(*_kernel_args(a), max_len, max_entries)
 
 
 def _elementary_circuits(num_states, transitions, cap):
@@ -183,7 +185,8 @@ def parikh_image(a: VectorNFA) -> SemilinearSet:
     """
     n = a.num_states
     bases_by_states: dict[int, set] = defaultdict(set)
-    for mask, parikh in _run_profiles(a, n * (n - 1), PARIKH_MAX_ENTRIES):
+    args = (*_kernel_args(a), n * (n - 1), PARIKH_MAX_ENTRIES)
+    for mask, parikh in _kernels.accepting_run_profiles(*args):
         bases_by_states[mask].add(parikh)
     circuits = _elementary_circuits(n, a.distinct_transitions, PARIKH_CYCLE_CAP)
 

@@ -27,7 +27,8 @@ from .errors import BudgetExceeded, DecompositionError
 from .genfunc import (
     RationalGF,
     gf_to_json,
-    gf_unambiguous_linear,
+    gf_unambiguous_linear,  # unused; kept bound for ratbench/tracing.py, which patches it
+    gf_unambiguous_sum,
     fit_rational,
     series_coeffs,
 )
@@ -113,7 +114,7 @@ def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
     closed-formula generating functions of the parts' final-coordinate
     projections: the exact-distance counts, with no (1 - z) step.
     """
-    total = RationalGF.zero()
+    parts = []
     dim = g.dim + 1
     for target in range(1, g.num_orbits + 1):
         nfa = build_coordination_nfa(g, origin_orbit, target)
@@ -127,9 +128,8 @@ def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
                 f"shell decomposition for target orbit {target} fails on the "
                 f"doubled box at radius {2 * radius} and again at {4 * radius}"
             )
-        for part in shell.parts:
-            total = total + gf_unambiguous_linear(part, dim)
-    return total
+        parts += shell.parts
+    return gf_unambiguous_sum(parts, dim)
 
 
 def _compare(name_a, coeffs_a, name_b, coeffs_b, depth):

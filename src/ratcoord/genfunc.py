@@ -211,22 +211,42 @@ def gf_unambiguous_linear(l: LinearSet, i: int) -> RationalGF:
     with projection <= 0 makes the slice counts infinite); the caller is
     responsible for supplying an unambiguous set.
     """
-    idx = i - 1
-    if not (0 <= idx < len(l.base)):
-        raise ValueError(f"coordinate index {i} out of range")
-    b_proj = l.base[idx]
-    if b_proj < 0:
-        raise ValueError(f"base projection {b_proj} is negative")
-    num = (0,) * b_proj + (1,)
-    den = (1,)
-    for period in l.periods:
-        e = period[idx]
-        if e < 1:
-            raise ValueError(
-                f"period {period} has coordinate-{i} projection {e} < 1"
-            )
-        den = _pmul(den, (1,) + (0,) * (e - 1) + (-1,))
-    return RationalGF(num, den)
+    return gf_unambiguous_sum((l,), i)
+
+
+def gf_unambiguous_sum(parts, i: int) -> RationalGF:
+    """Sum of :func:`gf_unambiguous_linear` over the parts, with the same
+    checks on each: the generating function of a disjoint union.
+
+    Every part is put over the product of (1 - z^e)^m, m the largest number
+    of periods with projection e in any part, and the numerators are summed,
+    so the canonical form is computed once, with one gcd.
+    """
+    idx, shifts, projections = i - 1, [], []
+    for l in parts:
+        if not (0 <= idx < len(l.base)):
+            raise ValueError(f"coordinate index {i} out of range")
+        if l.base[idx] < 0:
+            raise ValueError(f"base projection {l.base[idx]} is negative")
+        for period in l.periods:
+            if period[idx] < 1:
+                raise ValueError(
+                    f"period {period} has coordinate-{i} projection {period[idx]} < 1"
+                )
+        shifts.append(l.base[idx])
+        projections.append([period[idx] for period in l.periods])
+    top = {e: max(es.count(e) for es in projections) for e in set().union(*projections)}
+
+    def over(poly, es):  # poly times the factors of the common denominator es lacks
+        for e, m in top.items():
+            for _ in range(m - es.count(e)):
+                poly = _pmul(poly, (1,) + (0,) * (e - 1) + (-1,))
+        return poly
+
+    num = ()
+    for b, es in zip(shifts, projections):
+        num = _padd(num, over((0,) * b + (1,), es))
+    return RationalGF(num, over((1,), []))
 
 
 def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:

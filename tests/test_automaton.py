@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ratcoord import (
     BudgetExceeded,
     CoverVertex,
+    LinearSet,
     VectorNFA,
     bfs_coordination,
     build_coordination_nfa,
@@ -18,10 +20,11 @@ from ratcoord import (
     run_parikh_oracle,
     slice_counts,
 )
-from ratcoord import automaton, parse_periodic_graph
+from ratcoord import _kernels, automaton, parse_periodic_graph
 from .conftest import SQUARE_TEXT, assert_outcome
 
 SQUARE_NFA = build_coordination_nfa(parse_periodic_graph(SQUARE_TEXT), 1, 1)
+NETS = Path(__file__).resolve().parents[1] / "ratbench" / "nets"
 
 
 class TestVectorNFA:
@@ -139,6 +142,10 @@ class TestRunParikhOracle:
         disjoint = VectorNFA(1, 2, frozenset({1}), frozenset({2}), loop)
         assert run_parikh_oracle(disjoint, 4) == set()
 
+    def test_no_transitions_gives_the_zero_vector(self):
+        a = VectorNFA(2, 1, frozenset({1}), frozenset({1}), ())
+        assert run_parikh_oracle(a, 3) == {(0, 0)}
+
     def test_budget(self, honeycomb):
         a = build_coordination_nfa(honeycomb, 1, 1)
         with pytest.raises(BudgetExceeded):
@@ -164,6 +171,10 @@ class TestParikhImage:
         image = parikh_image(a)
         assert [(p.base, p.periods) for p in image.parts] == [((1, 1), ())]
 
+    def test_no_transitions_gives_the_zero_vector(self):
+        a = VectorNFA(2, 1, frozenset({1}), frozenset({1}), ())
+        assert parikh_image(a).parts == (LinearSet((0, 0)),)
+
     def test_no_accepting_runs(self):
         a = VectorNFA(1, 2, frozenset({1}), frozenset({2}), ((2, (1,), 2),))
         assert parikh_image(a).parts == ()
@@ -176,6 +187,17 @@ class TestParikhImage:
         image = parikh_image(build_coordination_nfa(square, 1, 1))
         cumulative = cumulative_counts(bfs_coordination(square, 1, 6))
         assert slice_counts(image, 3, 6) == cumulative
+
+
+@pytest.mark.parametrize("net", sorted(p.stem for p in NETS.glob("*.graph")))
+def test_oracle_matches_image_kernel_on_corpus_nets(net):
+    # the oracle's kernel against the vectors of the image kernel's profiles
+    g = parse_periodic_graph((NETS / f"{net}.graph").read_text(encoding="utf-8"))
+    for target in range(1, g.num_orbits + 1):
+        nfa = build_coordination_nfa(g, 1, target)
+        args = automaton._kernel_args(nfa)
+        profiles = _kernels.accepting_run_profiles(*args, 8, 5_000_000)
+        assert run_parikh_oracle(nfa, 8) == {v for _, v in profiles}, (net, target)
 
 
 def _distance_map(g, origin, depth):

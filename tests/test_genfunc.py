@@ -194,6 +194,17 @@ class TestFormula:
             counts = slice_counts(SemilinearSet((l,)), i, 30)
             assert coeffs == counts, (l, i)
 
+    def test_sum_equals_added_parts(self, unambiguous_corpus):
+        # periods with equal projections, within a part and across parts
+        extra = [(LinearSet((0, 0), ((1, 1), (1, 2), (2, 1))), 2)]
+        for i in (1, 2, 3):
+            parts = [l for l, j in unambiguous_corpus + extra if j == i]
+            for k in range(len(parts) + 1):
+                expected = RationalGF.zero()
+                for l in parts[:k]:
+                    expected = expected + gf_unambiguous_linear(l, i)
+                assert genfunc.gf_unambiguous_sum(parts[:k], i) == expected
+
 
 class TestFit:
     def test_square_prefix(self):
@@ -377,6 +388,11 @@ class TestJson:
             lambda: gf_unambiguous_linear(LinearSet((0, 0)), 0),
             ValueError("coordinate index 0 out of range"),
             id="formula",
+        ),
+        pytest.param(  # every part is checked, not only the first
+            lambda: genfunc.gf_unambiguous_sum((LinearSet((1,)), LinearSet((-1,))), 1),
+            ValueError("base projection -1 is negative"),
+            id="formula_sum",
         ),
         pytest.param(
             lambda: fit_rational([1, 1, 1], -1, 0),

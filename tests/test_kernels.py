@@ -1,4 +1,4 @@
-"""The box kernels and the run kernel against brute-force enumerations.
+"""The box kernels and the run kernels against brute-force enumerations.
 
 Cover BFS is checked against a plain BFS in ``test_periodic_graph.py``."""
 
@@ -240,7 +240,8 @@ def test_sweep_budget_bounds_level_span():
 
 @st.composite
 def small_run_kernel_inputs(draw):
-    """Arguments of ``accepting_run_profiles``, 0-based, with a length bound."""
+    """Arguments of the run kernels, 0-based, with the output dimension and
+    a length bound."""
     num_states = draw(st.integers(1, 3))
     out_dim = draw(st.integers(1, 2))
     states = st.integers(0, num_states - 1)
@@ -260,20 +261,21 @@ def small_run_kernel_inputs(draw):
         [output for _, output, _ in transitions],
         initial,
         final,
+        out_dim,
         max_len,
     )
 
 
-def _brute_force_profiles(
-    num_states, sources, targets, outputs, initial, final, max_len
+def _brute_force_walks(
+    num_states, sources, targets, outputs, initial, final, out_dim, max_len
 ):
-    # every walk of every length, one at a time, with no deduplication
-    dim = len(outputs[0]) if outputs else 0
-    profiles = set()
+    """(end state, visited-state mask, vector) of every walk from an initial
+    state, one walk at a time, with no deduplication."""
+    walks = set()
     for length in range(max_len + 1):
         for start in initial:
             for walk in itertools.product(range(len(sources)), repeat=length):
-                state, mask, vector = start, 1 << start, (0,) * dim
+                state, mask, vector = start, 1 << start, (0,) * out_dim
                 for t in walk:
                     if sources[t] != state:
                         break
@@ -281,15 +283,54 @@ def _brute_force_profiles(
                     mask |= 1 << state
                     vector = tuple(a + b for a, b in zip(vector, outputs[t]))
                 else:
-                    if state in final:
-                        profiles.add((mask, vector))
-    return profiles
+                    walks.add((state, mask, vector))
+    return walks
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_run_kernel_inputs())
+@example((1, [], [], [], [0], [0], 2, 3))  # no transitions: only the empty run
 def test_run_profiles_match_brute_force(case):
-    assert _kernels.accepting_run_profiles(*case, 10**6) == _brute_force_profiles(*case)
+    final = case[5]
+    expected = {(mask, v) for s, mask, v in _brute_force_walks(*case) if s in final}
+    assert _kernels.accepting_run_profiles(*case, 10**6) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_run_kernel_inputs())
+@example((1, [], [], [], [0], [0], 2, 3))  # no transitions: only the empty run
+# zero and negative outputs, disjoint initial and final states
+@example((2, [0, 0, 1], [0, 1, 1], [(0,), (-1,), (-1,)], [0], [1], 1, 4))
+@example((2, [0], [1], [(1, -1)], [1], [0], 2, 5))  # the final state is unreachable
+def test_run_vectors_match_brute_force(case):
+    walks = _brute_force_walks(*case)
+    final = case[5]
+    expected = {v for s, _, v in walks if s in final}
+    assert _kernels.accepting_run_vectors(*case, 10**6) == expected
+    # the budget counts distinct (state, vector) pairs, the initial ones too
+    entries = len({(s, v) for s, _, v in walks})
+    with pytest.raises(BudgetExceeded):
+        _kernels.accepting_run_vectors(*case, entries - 1)
+    try:
+        assert _kernels.accepting_run_vectors(*case, entries) == expected
+    except BudgetExceeded as exc:  # only a grid too wide for that budget
+        assert "would span" in str(exc)
+
+
+def test_run_vectors_budget_counts_state_vector_pairs():
+    # 41 pairs (state 0, (k,)); masks or lengths would make more keys
+    case = (1, [0, 0], [0, 0], [(0,), (1,)], [0], [0], 1, 40)
+    assert _kernels.accepting_run_vectors(*case, 41) == {(k,) for k in range(41)}
+    with pytest.raises(BudgetExceeded, match="exceeded 40 states"):
+        _kernels.accepting_run_vectors(*case, 40)
+
+
+def test_run_vectors_span_trips_before_the_search():
+    # two pairs, (0,) and (1000,), but a grid of 1001 bits: more than 64 * 2
+    case = (1, [0], [0], [(1000,)], [0], [0], 1, 1)
+    assert _kernels.accepting_run_vectors(*case, 16) == {(0,), (1000,)}
+    with pytest.raises(BudgetExceeded, match="span more than 128 bits"):
+        _kernels.accepting_run_vectors(*case, 2)
 
 
 def test_backend_name_exposed():

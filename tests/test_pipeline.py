@@ -197,6 +197,25 @@ class TestCrossVerify:
         pairs = {e["pair"] for e in report.agreement}
         assert "oracle_vs_bfs_cumulative" in pairs
 
+    def test_oracle_runs_no_image_kernel(self, honeycomb, monkeypatch):
+        import ratcoord.cli as cli
+        from ratcoord import _kernels
+
+        oracle, calls = cli.run_parikh_oracle, []
+
+        def refuse(*args):
+            raise AssertionError("the oracle ran the Parikh image's kernel")
+
+        def isolated(nfa, max_len):
+            calls.append(nfa)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "accepting_run_profiles", refuse)
+                return oracle(nfa, max_len)
+
+        monkeypatch.setattr(cli, "run_parikh_oracle", isolated)
+        report = cross_verify(honeycomb, 1, 20)
+        assert len(calls) == 2 and report.all_ok(), report.agreement
+
     def test_corrupted_symbolic_is_flagged(self, square, monkeypatch):
         import ratcoord.cli as cli
 

@@ -13,7 +13,8 @@ second orbit the first cannot reach (an empty Parikh image), the random
 graph G1 and the 2 x 1 supercell of hcb (both of ROADMAP item 2) are
 written to a temporary directory.  A second driver then runs a fixed list of library
 calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts,
-quasi-polynomial forms and box validation, which no gate command reaches)
+quasi-polynomial forms, box validation and the run-enumeration oracle's
+vector sets, which no gate command reaches)
 once per tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded or NotQuasiPolynomialError has that as its result.  The exit
 status is 1 when any command or library probe differs, 2 on a usage error,
@@ -70,7 +71,9 @@ LIBRARY_DRIVER = """
 import itertools, json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from ratcoord.automaton import build_coordination_nfa, parikh_image
+from ratcoord.automaton import (
+    VectorNFA, build_coordination_nfa, parikh_image, run_parikh_oracle,
+)
 from ratcoord.errors import BudgetExceeded
 from ratcoord.genfunc import (
     NotQuasiPolynomialError, RationalGF, fit_rational, to_quasi_polynomial,
@@ -126,6 +129,10 @@ def fitted(path):  # the fit path's GF of origin 1 at depth 30
     values = bfs_coordination(g, 1, 30).values
     return fit_rational(values, (len(values) - 5) // 2, 5)
 
+def oracle(net, target, *budget):  # the oracle's vectors at length 8, sorted
+    g = parse_periodic_graph(NETS[net].read_text(encoding="utf-8"))
+    return sorted(run_parikh_oracle(build_coordination_nfa(g, 1, target), 8, *budget))
+
 images = {"sql": image("sql", 1), "hcb t1": image("hcb", 1), "hcb t2": image("hcb", 2)}
 probes = {
     "enumerate A2 (0,0)-(20,20)": lambda: points(SemilinearSet((A2,)), (0, 0), (20, 20)),
@@ -144,6 +151,14 @@ for name, l in ELIMINATED.items():
 # rationally but not integrally reachable, with no functional on the periods
 probes["count_representations non-member (2,-2),(-2,2)"] = lambda: (
     count_representations(LinearSet((0, 0), ((2, -2), (-2, 2))), (1, -1))
+)
+for net, targets in (("sql", 1), ("hcb", 2), ("pcu", 1), ("dia", 2), ("kagome", 3)):
+    for target in range(1, targets + 1):
+        probes[f"oracle {net} t{target}"] = lambda n=net, t=target: oracle(n, t)
+probes["oracle hcb t1 budget 100"] = lambda: oracle("hcb", 1, 100)
+# no transitions: only the empty run, whose vector has the output dimension
+probes["oracle transitionless"] = lambda: sorted(
+    run_parikh_oracle(VectorNFA(2, 1, {1}, {1}, ()), 3)
 )
 for name, path in NETS.items():
     probes[f"quasi-polynomial {name}"] = lambda path=path: quasi(fitted(path))
