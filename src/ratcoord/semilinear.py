@@ -427,18 +427,20 @@ def _shell(grid, levels):
 
 def _independent_subsets(universe, max_size, width=None):
     """Subsets of at most ``max_size`` periods whose first ``width``
-    coordinates (all by default) are linearly independent."""
-    subsets = [()]
-    for size in range(1, max_size + 1):
+    coordinates (all by default) are linearly independent: the largest
+    first, lexicographic within a size, and the empty subset last.  The
+    5,001st subset raises DecompositionError as soon as it is found."""
+    subsets = []
+    for size in range(max_size, 0, -1):
         for combo in itertools.combinations(universe, size):
             if rank([p[:width] for p in combo]) == size:
+                if len(subsets) == 4999:  # with the empty subset, 5,001
+                    raise DecompositionError(
+                        f"period universe too large ({len(universe)} periods) "
+                        "for the restricted search"
+                    )
                 subsets.append(combo)
-    if len(subsets) > 5000:
-        raise DecompositionError(
-            f"period universe too large ({len(universe)} periods) for the "
-            "restricted search"
-        )
-    return subsets
+    return subsets + [()]
 
 
 def _popcount(levels):
@@ -457,22 +459,31 @@ def _greedy_cover(grid, uncovered, subsets, steps, radius):
     periods q has u + q outside the box or uncovered; ``steps`` holds every
     period of a subset, and the other subsets contain an inadmissible
     point.  The admissible cone with the most box points wins, then the one
-    with fewer periods, then the smaller periods.  Each candidate cone is
-    swept up from u in the grid, and it is admissible iff no level has a
-    cone bit that is not uncovered.  ``uncovered`` is cleared in place.
+    with fewer periods, then the smaller periods: the least key
+    ``(-points, len(P), P)``.  Each candidate cone is swept up from u in
+    the grid, and it is admissible iff no level has a cone bit that is not
+    uncovered.  ``uncovered`` is cleared in place.
+
+    The subsets come largest first.  Once a cone is admissible, a subset
+    is swept only if it can still win: a box point ``u + sum n_j p_j`` of
+    ``L(u; P)`` lies at most at the box's top level, so the cone has at
+    most ``B = #{n : sum n_j rise_j <= top - level(u)}`` points, ``rise_j
+    >= 1`` the level of ``p_j``, and a subset whose ``(-B, len(P), P)``
+    exceeds the best key has a larger key too.  So the cover is the one
+    that sweeping every subset gives.
     """
     def is_uncovered(point):
         k, bit = grid.index(point)
         return uncovered[k] >> bit & 1
 
-    def cones(base, admissible):
-        # the empty subset comes first and its cone {base} always qualifies
-        for periods in subsets:
-            if not admissible.issuperset(periods):
-                continue
-            cone = _kernels.linear_points_in_box(base, periods, grid)
-            if list(map(and_, cone, uncovered)) == cone:
-                yield (-_popcount(cone), len(periods), periods), cone
+    def most_points(periods, room):
+        # ways[t]: coefficient tuples whose levels add up to t
+        ways = [1] + [0] * room
+        for p in periods:
+            rise = grid.level(p)
+            for t in range(rise, room + 1):
+                ways[t] += ways[t - rise]
+        return sum(ways)
 
     chosen: list[LinearSet] = []
     # decode reads a level of ``uncovered`` only when the walk reaches it,
@@ -487,7 +498,21 @@ def _greedy_cover(grid, uncovered, subsets, steps, radius):
             if max(map(abs, step := tuple(map(add, base, q)))) > radius
             or is_uncovered(step)
         }
-        (_, _, periods), cone = min(cones(base, admissible))
+        room = grid.levels - 1 - grid.index(base)[0]
+        # the empty subset comes last; its cone {base} always qualifies, and
+        # its key (-1, 0, ()) beats every best key of one box point
+        best = None
+        for periods in subsets:
+            if not admissible.issuperset(periods):
+                continue
+            if best and (-most_points(periods, room), len(periods), periods) > best[0]:
+                continue  # not even its bound beats the best key
+            cone = _kernels.linear_points_in_box(base, periods, grid)
+            if list(map(and_, cone, uncovered)) == cone:
+                key = (-_popcount(cone), len(periods), periods)
+                if best is None or key < best[0]:
+                    best = key, cone
+        (_, _, periods), cone = best
         chosen.append(LinearSet(base, periods))
         uncovered[:] = [u & ~c for u, c in zip(uncovered, cone)]
     return _mark_certified(SemilinearSet(tuple(chosen)))

@@ -1,7 +1,7 @@
 import itertools
 import json
 from collections import Counter
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 
 import pytest
@@ -15,6 +15,7 @@ from ratcoord import (
     LinearSet,
     SemilinearSet,
     Unambiguous,
+    build_coordination_nfa,
     check_unambiguous,
     count_representations,
     decompose_shell,
@@ -23,13 +24,16 @@ from ratcoord import (
     linear_set_from_json,
     linear_set_to_json,
     member,
+    parikh_image,
+    parse_periodic_graph,
     semilinear_from_json,
     semilinear_to_json,
     slice_counts,
     validate_decomposition,
 )
-from ratcoord import _kernels
+from ratcoord import _kernels, semilinear
 from ratcoord._exactlinalg import rank
+from ratcoord.cli import DISAMBIG_MARGIN
 from ratcoord.semilinear import (
     _functional_grid,
     _independent_subsets,
@@ -39,7 +43,14 @@ from ratcoord.semilinear import (
     same_in_box,
     same_shell_in_box,
 )
-from .conftest import AMBIGUOUS_EXAMPLE, ambiguous_example_points, assert_outcome
+from .conftest import (
+    AMBIGUOUS_EXAMPLE,
+    HONEYCOMB_TEXT,
+    PCU_TEXT,
+    SQUARE_TEXT,
+    ambiguous_example_points,
+    assert_outcome,
+)
 
 A2 = AMBIGUOUS_EXAMPLE
 A_FULL = SemilinearSet((LinearSet((0, 0)), A2))
@@ -535,6 +546,32 @@ class TestDisambiguate:
         with pytest.raises(DecompositionError, match="period universe too large"):
             disambiguate(SemilinearSet((l,)))
 
+    def test_period_universe_too_large_fails_cheaply(self, monkeypatch):
+        # 23 periods in dimension 4 have 10,902 nonempty subsets of at most
+        # 4; the 5,001st independent one raises before the rest are ranked
+        universe = sorted(itertools.product(range(-1, 2), repeat=3))[:23]
+        universe = [(*p, 1) for p in universe]
+        combinations = sum(
+            len(list(itertools.combinations(universe, k))) for k in range(1, 5)
+        )
+        calls = []
+
+        def counted(vectors):
+            calls.append(None)
+            return rank(vectors)
+
+        monkeypatch.setattr(semilinear, "rank", counted)
+        with pytest.raises(DecompositionError, match="period universe too large"):
+            _independent_subsets(universe, 4)
+        assert 5000 <= len(calls) < combinations
+
+    def test_subsets_largest_first(self):
+        universe = [(0, 1), (1, 0), (1, 1)]
+        assert _independent_subsets(universe, 2) == [
+            ((0, 1), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (1, 1)),
+            ((0, 1),), ((1, 0),), ((1, 1),), (),
+        ]
+
     def test_budget_failure_is_explicit(self):
         with pytest.raises((DecompositionError, BudgetExceeded)):
             disambiguate(SemilinearSet((A2,)), budget=20)
@@ -592,6 +629,24 @@ class TestDecomposeShell:
         assert same_shell_in_box(self.CHAIN, shell, *self.BOX, 10**6)
         assert not same_shell_in_box(self.CHAIN, self.CHAIN, *self.BOX, 10**6)
 
+    @pytest.mark.parametrize(
+        "text,sweeps", [(SQUARE_TEXT, 4), (PCU_TEXT, 8)], ids=["sql", "pcu"]
+    )
+    def test_sweeps_only_cones_that_can_win(self, text, sweeps, monkeypatch):
+        # one sweep per part: every later candidate's bound loses to the
+        # first admissible cone (sweeping every candidate took 25 and 125)
+        image = _corpus_image(text, 1)
+        kernel, calls = _kernels.linear_points_in_box, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_kernels, "linear_points_in_box", counted)
+        shell = decompose_shell(image, _magnitude(image.parts) + DISAMBIG_MARGIN)
+        assert len(shell.parts) == sweeps
+        assert len(calls) == sweeps
+
     def test_empty_image(self):
         empty = SemilinearSet(())
         assert decompose_shell(empty, 4).parts == ()
@@ -628,6 +683,48 @@ def _reference_cover(s, radius):
         cones = []
         for periods in _independent_subsets(universe, min(dim, len(universe))):
             cone = set(_kernels.linear_point_counts(base, periods, lo, hi, w, 10**6))
+            if cone <= uncovered:
+                cones.append(((-len(cone), len(periods), periods), cone))
+        (_, _, periods), cone = min(cones)
+        chosen.append(LinearSet(base, periods))
+        uncovered -= cone
+    return tuple(chosen)
+
+
+def _corpus_image(text, target):
+    """The Parikh image of a net's coordination automaton from origin 1."""
+    return parikh_image(build_coordination_nfa(parse_periodic_graph(text), 1, target))
+
+
+def _reference_shell(image, radius):
+    """The shell cover over tuple sets: the minimum over every admissible
+    cone, one counts-kernel call per candidate.
+
+    The shell is I minus (I + e_y) of the image's box points; the
+    candidates are all subsets of at most d - 1 periods whose cell parts are
+    independent.  Returns the parts that decompose_shell chooses, uncertified.
+    """
+    parts = tuple(dict.fromkeys(image.parts))
+    dim = parts[0].dim
+    radius = max(radius, _magnitude(parts) + 1)
+    lo, hi = (-radius,) * dim, (radius,) * dim
+    e_y = (0,) * (dim - 1) + (1,)
+    points = enumerate_in_box(image, lo, hi)
+    uncovered = {x for x in points if tuple(map(sub, x, e_y)) not in points}
+    universe = sorted({p for part in parts for p in part.periods})
+    subsets = [
+        combo
+        for size in range(dim)
+        for combo in itertools.combinations(universe, size)
+        if rank([p[:-1] for p in combo]) == size
+    ]
+    chosen = []
+    for base in sorted(uncovered, key=lambda x: (x[-1], x)):
+        if base not in uncovered:
+            continue
+        cones = []
+        for periods in subsets:
+            cone = set(_kernels.linear_point_counts(base, periods, lo, hi, e_y, 10**6))
             if cone <= uncovered:
                 cones.append(((-len(cone), len(periods), periods), cone))
         (_, _, periods), cone = min(cones)
@@ -698,6 +795,19 @@ class TestGreedyMatchesTupleSets:
             3,
         )
     )
+    @example(  # the first admissible cone, ((1, 2), (2, 1)) at (1, -1), is cut
+        # by the box's x bound to 4 of its 9 points, so ((-1, 1),) with 5
+        # must still be swept
+        (
+            SemilinearSet(
+                (
+                    LinearSet((1, -1), ((-1, 1),)),
+                    LinearSet((1, -1), ((2, 1), (1, 2))),
+                )
+            ),
+            2,
+        )
+    )
     def test_drawn_sets(self, case):
         _same_cover(*case)
 
@@ -707,6 +817,39 @@ class TestGreedyMatchesTupleSets:
         with open(path / f"4off_target{target}.json", encoding="utf-8") as handle:
             image = semilinear_from_json(json.load(handle))
         _same_cover(image, _magnitude(image.parts) + 8)
+
+
+@st.composite
+def shell_images(draw):
+    """(image, radius): one to three parts in dims 2-3, each with the
+    waiting period e_y, whose periods all raise the last coordinate, so
+    that e_y is the functional, as on a coordination image."""
+    dim = draw(st.integers(2, 3))
+    e_y = (0,) * (dim - 1) + (1,)
+    cells = [st.integers(-2, 2)] * (dim - 1)
+    pool = draw(st.lists(st.tuples(*cells, st.integers(1, 2)), min_size=1, max_size=4))
+    periods = st.lists(st.sampled_from(pool), max_size=3).map(lambda ps: (*ps, e_y))
+    bases = st.tuples(*[st.integers(-1, 1)] * (dim - 1), st.integers(0, 1))
+    parts = draw(st.lists(st.builds(LinearSet, bases, periods), min_size=1, max_size=3))
+    return SemilinearSet(tuple(parts)), draw(st.integers(2, 4))
+
+
+class TestShellMatchesTupleSets:
+    @pytest.mark.parametrize(
+        "text,targets",
+        [(SQUARE_TEXT, 1), (HONEYCOMB_TEXT, 2), (PCU_TEXT, 1)],
+        ids=["sql", "hcb", "pcu"],
+    )
+    def test_corpus_images(self, text, targets):
+        for target in range(1, targets + 1):
+            image = _corpus_image(text, target)
+            r = _magnitude(image.parts) + DISAMBIG_MARGIN
+            assert decompose_shell(image, r).parts == _reference_shell(image, r)
+
+    @settings(max_examples=100, deadline=2000)
+    @given(shell_images())
+    def test_drawn_images(self, case):
+        assert decompose_shell(*case).parts == _reference_shell(*case)
 
 
 class TestRepresentationConsistency:

@@ -10,11 +10,13 @@ number of calls of ``_kernels.linear_points_in_box`` (the greedy's
 candidates) in each tree, and the wall seconds of each process.  The nets
 and frozen images are read from NEW_TREE; the kagome graph, a net whose
 second orbit the first cannot reach (an empty Parikh image), the random
-graph G1 and the 2 x 1 supercell of hcb (both of ROADMAP item 2) are
-written to a temporary directory.  A second driver then runs a fixed list of library
-calls (``LIBRARY_DRIVER``: enumeration, slice counts, representation counts,
-quasi-polynomial forms, box validation and the run-enumeration oracle's
-vector sets, which no gate command reaches)
+graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2) and the
+3-orbit net of ROADMAP item 7 are written to a temporary directory.  A
+second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
+enumeration, slice counts, representation counts, quasi-polynomial forms,
+box validation, the run-enumeration oracle's vector sets, which no gate
+command reaches, and the parts ``decompose_shell`` chooses, which the
+gate commands show only through their GFs)
 once per tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded or NotQuasiPolynomialError has that as its result.  The exit
 status is 1 when any command or library probe differs, 2 on a usage error,
@@ -41,6 +43,10 @@ G1 = "dim 2\nvertices 2\nedge 1 2 -1 0\nedge 1 2 0 -1\nedge 1 2 0 1\nedge 1 2 1 
 HCB_2X1 = (
     "dim 2\nvertices 4\nedge 1 3 0 0\nedge 1 3 0 1\nedge 1 4 0 0\n"
     "edge 2 3 1 0\nedge 2 4 0 0\nedge 2 4 0 1\n"
+)
+THREE_ORBIT = (
+    "dim 3\nvertices 3\nedge 1 2 0 0 0\nedge 1 2 1 0 0\nedge 2 3 0 0 0\n"
+    "edge 2 3 0 1 0\nedge 3 1 0 0 0\nedge 3 1 0 0 1\n"
 )
 
 # argv[1]: the tree's src directory; argv[2]: file for the call count;
@@ -80,8 +86,9 @@ from ratcoord.genfunc import (
 )
 from ratcoord.periodic_graph import bfs_coordination, parse_periodic_graph
 from ratcoord.semilinear import (
-    LinearSet, SemilinearSet, _magnitude, count_representations, disambiguate,
-    enumerate_in_box, semilinear_from_json, slice_counts, validate_decomposition,
+    LinearSet, SemilinearSet, _magnitude, count_representations, decompose_shell,
+    disambiguate, enumerate_in_box, semilinear_from_json, slice_counts,
+    validate_decomposition,
 )
 bench = Path(sys.argv[2])
 A2 = LinearSet((2, 2), ((2, 0), (1, 1), (0, 2)))
@@ -98,12 +105,18 @@ ELIMINATED = {
     "(1,5),(-1,-4)": LinearSet((0, 0), ((1, 5), (-1, -4))),
     "no periods": LinearSet((3, 1)),
 }
-NETS = {name: bench / "nets" / f"{name}.graph" for name in ("sql", "hcb", "pcu", "dia", "bcu")}
+NAMES = ("sql", "hcb", "hxl", "pcu", "dia", "bcu", "4off")
+NETS = {name: bench / "nets" / f"{name}.graph" for name in NAMES}
 NETS["kagome"] = Path(sys.argv[3])
 
 def image(net, target):
-    text = (bench / "nets" / f"{net}.graph").read_text(encoding="utf-8")
+    text = NETS[net].read_text(encoding="utf-8")
     return parikh_image(build_coordination_nfa(parse_periodic_graph(text), 1, target))
+
+def shell(net, target):  # the parts decompose_shell chooses at the pipeline's r
+    s = image(net, target)
+    parts = decompose_shell(s, _magnitude(s.parts) + 8).parts
+    return [[part.base, part.periods] for part in parts]
 
 def frozen(target):
     text = (bench / "inputs" / f"4off_target{target}.json").read_text(encoding="utf-8")
@@ -162,6 +175,9 @@ probes["oracle transitionless"] = lambda: sorted(
 )
 for name, path in NETS.items():
     probes[f"quasi-polynomial {name}"] = lambda path=path: quasi(fitted(path))
+    orbits = parse_periodic_graph(path.read_text(encoding="utf-8")).num_orbits
+    for target in range(1, orbits + 1):  # every target, from origin 1
+        probes[f"shell {name} t{target}"] = lambda n=name, t=target: shell(n, t)
 for name, s in images.items():
     probes[f"slice_counts {name}"] = lambda s=s: slice_counts(s, s.dim, 20)
 for target in (1, 2):
@@ -265,7 +281,8 @@ def main() -> int:
         unreachable = scratch / "unreachable.graph"
         unreachable.write_text(UNREACHABLE, encoding="utf-8")
         extra = []
-        for name, text, origins in (("G1", G1, 2), ("hcb2x1", HCB_2X1, 4)):
+        extras = (("G1", G1, 2), ("hcb2x1", HCB_2X1, 4), ("3-orbit", THREE_ORBIT, 3))
+        for name, text, origins in extras:
             path = scratch / f"{name}.graph"
             path.write_text(text, encoding="utf-8")
             extra.append((path, name, origins))
