@@ -3,9 +3,9 @@ generating functions are rational.
 
 The pipeline: a periodic graph is turned into a vector-output finite
 automaton whose Parikh image encodes all bounded-length reachability facts;
-that image is a semilinear set, which is decomposed into disjoint
-unambiguous linear sets; each part has a closed-form rational generating
-function, and their sum times (1 - z) is the generating function of the
+that image is a semilinear set, whose first-distance shell is decomposed
+into disjoint unambiguous linear sets; each part has a closed-form rational
+generating function, and their sum is the generating function of the
 coordination sequence.  Every stage is cross-checked against brute-force
 oracles (cover BFS, run enumeration, box enumeration), and all arithmetic is
 exact.
@@ -31,7 +31,6 @@ from .genfunc import (
     NotQuasiPolynomialError,
     QuasiPolynomial,
     RationalGF,
-    cumulative_to_exact,
     fit_rational,
     gf_from_json,
     gf_to_json,
@@ -102,7 +101,6 @@ __all__ = [
     "cover_neighbors",
     "cross_verify",
     "cumulative_counts",
-    "cumulative_to_exact",
     "decompose_shell",
     "disambiguate",
     "enumerate_in_box",

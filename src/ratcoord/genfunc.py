@@ -184,11 +184,6 @@ class RationalGF:
         return cls((1,), (1,))
 
 
-def cumulative_to_exact(q: RationalGF) -> RationalGF:
-    """Multiply by (1 - z): partial-sum counts become exact-distance counts."""
-    return RationalGF(_pmul(q.num, (1, -1)), q.den)
-
-
 def series_coeffs(q: RationalGF, n: int) -> list[int]:
     """Power-series coefficients c_0..c_n by exact long division."""
     if n < 0:

@@ -33,36 +33,26 @@ class LinearSet:
     """Base-plus-periods lattice point set.
 
     Zero periods and duplicate periods are dropped at construction (either
-    makes unambiguity impossible) and recorded in ``stripped_periods`` so the
-    normalization is visible to callers.  A coordinate that is not integral
+    makes unambiguity impossible).  A coordinate that is not integral
     raises ValueError.
     """
 
     base: tuple[int, ...]
     periods: tuple[tuple[int, ...], ...] = ()
-    stripped_periods: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False
-    )
 
     def __post_init__(self):
         base = integral(self.base)
         object.__setattr__(self, "base", base)
         kept: dict[tuple[int, ...], None] = {}  # insertion-ordered set
-        stripped: list[tuple[int, ...]] = []
         for period in self.periods:
             period = integral(period)
             if len(period) != len(base):
                 raise ValueError(
                     f"period {period} has wrong dimension (base is {base})"
                 )
-            if not any(period) or period in kept:
-                stripped.append(period)
-            else:
+            if any(period):
                 kept[period] = None
         object.__setattr__(self, "periods", tuple(kept))
-        object.__setattr__(
-            self, "stripped_periods", self.stripped_periods + tuple(stripped)
-        )
 
     @property
     def dim(self) -> int:
@@ -253,10 +243,11 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     """Members of the set inside the box, with set semantics across parts.
 
     Parts that cannot reach the box are dropped (``_kernels._past_box``,
-    with a positive functional of the set's periods as one more coordinate).
-    The others are swept in one ``_kernels.BoxGrid``, one level per value of
-    the functional; with none, one level holds everything and each period
-    is closed to a fixpoint in it.  Parts with equal periods share a sweep.
+    with a positive functional of the periods of the parts left as one more
+    coordinate) until none is, so no base lies above the box's top level.
+    The rest are swept in one grid (``_swept``), one level per value of that
+    functional; with none, one level holds everything and each period is
+    closed to a fixpoint in it.
     ``budget`` caps the grid at ``64 * budget`` bits over its levels,
     checked before any level is built.  The grid is the hull of the box and
     the bases, widened by the Steinitz bound on the cell axes only.  So a
@@ -271,19 +262,16 @@ def enumerate_in_box(s: SemilinearSet, lo, hi, budget: int = 5_000_000):
     _check_dim(s, hi)
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"box is empty: lo={lo} hi={hi}")
-    periods = tuple(dict.fromkeys(p for part in s.parts for p in part.periods))
-    w = _positive_functional(periods, len(lo))
-    parts = [(part.base, part.periods) for part in s.parts]
-    parts = [
-        pair for pair in parts
-        if not _kernels._past_box(*_kernels._with_functional(w, *pair, lo, hi))
-    ]
+    parts, dropped = s.parts, True
+    while dropped:  # until the functional of the parts left drops none of them
+        w = _positive_functional(tuple(set().union(*(p.periods for p in parts))), len(lo))
+        kept = [part for part in parts if not _kernels._past_box(
+            *_kernels._with_functional(w, part.base, part.periods, lo, hi))]
+        parts, dropped = kept, len(kept) < len(parts)
     if not parts:
         return set()
-    periods = {p for _, part_periods in parts for p in part_periods}
-    bases = [base for base, _ in parts]
-    grid = _kernels.BoxGrid(bases, periods, lo, hi, w, budget)
-    return set(grid.decode(_kernels.linear_sets_in_box(parts, grid)))
+    grid, (levels,) = _swept([parts], lo, hi, budget)
+    return set(grid.decode(levels))
 
 
 def slice_counts(s: SemilinearSet, i: int, y_max: int) -> list[int]:
@@ -376,26 +364,17 @@ def validate_decomposition(
     return counts.keys() == orig_points and all(c == 1 for c in counts.values())
 
 
-def _swept_together(a: SemilinearSet, b: SemilinearSet, lo, hi, budget):
-    """One ``_kernels.BoxGrid`` of both sets' bases and periods, which
-    ``budget`` caps, and the box levels of each set in it."""
-    a, b = ([(part.base, part.periods) for part in s.parts] for s in (a, b))
-    periods = {p for _, part_periods in a + b for p in part_periods}
+def _swept(sets, lo, hi, budget):
+    """One ``_kernels.BoxGrid`` of all the sets' bases and periods, with a
+    positive functional of the periods (or none) and capped by ``budget``,
+    and the box levels in it of each set, a sequence of linear sets.  Every
+    grid of this module is built here."""
+    periods = set().union(*(part.periods for parts in sets for part in parts))
     weights = _positive_functional(tuple(periods), len(lo))
-    bases = [base for base, _ in a + b]
+    bases = [part.base for parts in sets for part in parts]
     grid = _kernels.BoxGrid(bases, periods, lo, hi, weights, budget)
-    return grid, _kernels.linear_sets_in_box(a, grid), _kernels.linear_sets_in_box(b, grid)
-
-
-def same_in_box(a: SemilinearSet, b: SemilinearSet, lo, hi, budget: int) -> bool:
-    """True iff the sets have the same points in the box, which holds every base.
-
-    Both are swept in one grid and compared level by level.
-    """
-    if not a.parts + b.parts:  # BoxGrid needs a base
-        return True
-    _, levels_a, levels_b = _swept_together(a, b, lo, hi, budget)
-    return levels_a == levels_b
+    pairs = ([(part.base, part.periods) for part in parts] for parts in sets)
+    return grid, [_kernels.linear_sets_in_box(p, grid) for p in pairs]
 
 
 def same_shell_in_box(
@@ -404,12 +383,12 @@ def same_shell_in_box(
     """True iff ``shell`` has exactly the points of the image's first-distance
     shell (see ``decompose_shell``) in the box, which holds every base.
 
-    Both are swept in one grid, as in ``same_in_box``, and the image's
-    levels are cut to its shell before the compare.
+    Both are swept in one grid, and the image's levels are cut to its shell
+    before they are compared with the shell's level by level.
     """
-    if not image.parts + shell.parts:
+    if not image.parts + shell.parts:  # BoxGrid needs a base
         return True
-    grid, levels, shell_levels = _swept_together(image, shell, lo, hi, budget)
+    grid, (levels, shell_levels) = _swept([image.parts, shell.parts], lo, hi, budget)
     return _shell(grid, levels) == shell_levels
 
 
@@ -447,7 +426,7 @@ def _popcount(levels):
     return sum(map(int.bit_count, levels))
 
 
-def _greedy_cover(grid, uncovered, subsets, steps, radius):
+def _greedy_cover(grid, uncovered, subsets, radius):
     """Disjoint unambiguous cones that cover the uncovered box levels exactly.
 
     The levels are walked in (level, bit) order, the order of the
@@ -456,10 +435,10 @@ def _greedy_cover(grid, uncovered, subsets, steps, radius):
     u of the chosen cones ``L(u; P)``, with P one of ``subsets``.  Every
     accepted cone must have only uncovered points in the box
     ``[-radius, radius]^dim``, so a subset is tried only if each of its
-    periods q has u + q outside the box or uncovered; ``steps`` holds every
-    period of a subset, and the other subsets contain an inadmissible
-    point.  The admissible cone with the most box points wins, then the one
-    with fewer periods, then the smaller periods: the least key
+    periods q has u + q outside the box or uncovered; the grid's periods
+    hold every period of a subset, and the other subsets contain an
+    inadmissible point.  The admissible cone with the most box points wins,
+    then the one with fewer periods, then the smaller periods: the least key
     ``(-points, len(P), P)``.  Each candidate cone is swept up from u in
     the grid, and it is admissible iff no level has a cone bit that is not
     uncovered.  ``uncovered`` is cleared in place.
@@ -494,7 +473,7 @@ def _greedy_cover(grid, uncovered, subsets, steps, radius):
         # only a step inside the box is looked up: it is a point of the grid,
         # whose levels run from the lowest base to the box's top
         admissible = {
-            q for q in steps
+            q for q in grid.moves
             if max(map(abs, step := tuple(map(add, base, q)))) > radius
             or is_uncovered(step)
         }
@@ -549,32 +528,25 @@ def disambiguate(
     magnitude = _magnitude(parts)
     radius = box_radius if box_radius is not None else 4 * magnitude
     radius = max(radius, magnitude + 1)
-    lo = (-radius,) * dim
-    hi = (radius,) * dim
 
     universe = sorted({p for part in parts for p in part.periods})
-    weights = _positive_functional(tuple(universe), dim) if universe else None
-    if universe and weights is None:
+    if universe and _positive_functional(tuple(universe), dim) is None:
         raise DecompositionError(
             "periods admit no positive functional; the restricted search "
             "cannot order the box"
         )
 
     # one grid for the box and the universe; the bases are box points
-    grid = _kernels.BoxGrid(
-        [part.base for part in parts], universe, lo, hi, weights, budget
-    )
-    pairs = [(part.base, part.periods) for part in parts]
-    uncovered = _kernels.linear_sets_in_box(pairs, grid)
+    grid, (uncovered,) = _swept([parts], (-radius,) * dim, (radius,) * dim, budget)
 
     # fast path: independent parts that are pairwise disjoint in the box
     if all(rank(part.periods) == len(part.periods) for part in parts):
-        sweeps = (_kernels.linear_sets_in_box([pair], grid) for pair in pairs)
+        sweeps = (_kernels.linear_sets_in_box([(p.base, p.periods)], grid) for p in parts)
         if sum(map(_popcount, sweeps)) == _popcount(uncovered):
             return _mark_certified(SemilinearSet(parts))
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
-    return _greedy_cover(grid, uncovered, subsets, universe, radius)
+    return _greedy_cover(grid, uncovered, subsets, radius)
 
 
 def decompose_shell(
@@ -603,16 +575,9 @@ def decompose_shell(
         return _mark_certified(SemilinearSet(()))
     dim = parts[0].dim
     radius = max(box_radius, _magnitude(parts) + 1)
-    universe = sorted({p for part in parts for p in part.periods})
-    weights = _positive_functional(tuple(universe), dim)
-    grid = _kernels.BoxGrid(
-        [part.base for part in parts], universe,
-        (-radius,) * dim, (radius,) * dim, weights, budget,
-    )
-    pairs = [(part.base, part.periods) for part in parts]
-    shell = _shell(grid, _kernels.linear_sets_in_box(pairs, grid))
-    subsets = _independent_subsets(universe, dim - 1, dim - 1)
-    return _greedy_cover(grid, shell, subsets, universe, radius)
+    grid, (levels,) = _swept([parts], (-radius,) * dim, (radius,) * dim, budget)
+    subsets = _independent_subsets(sorted(grid.moves), dim - 1, dim - 1)
+    return _greedy_cover(grid, _shell(grid, levels), subsets, radius)
 
 
 # ---------------------------------------------------------------------------

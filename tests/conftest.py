@@ -1,5 +1,6 @@
 """Shared corpus: graphs, automata, generating functions."""
 
+import itertools
 import os
 import re
 from pathlib import Path
@@ -9,9 +10,11 @@ import pytest
 import ratcoord
 from ratcoord import (
     LinearSet,
+    PeriodicGraph,
     RationalGF,
     SemilinearSet,
     VectorNFA,
+    canonical_edge_orbit,
     parse_periodic_graph,
 )
 
@@ -46,6 +49,27 @@ GRAPH_TEXTS = {
     "ladder": LADDER_TEXT,
     "three_ring": THREE_RING_TEXT,
 }
+
+
+def supercell(g, m):
+    """The ``m[0] x ... x m[d-1]`` supercell of ``g``: one orbit per (orbit v,
+    cell c of the block), numbered orbit-major from 1, and per edge orbit
+    (v, t, o) of ``g`` and cell c an edge from (v, c) to (t, (c + o) mod m)
+    with offset (c + o) div m.  Every copy of an orbit has that orbit's
+    coordination sequence in ``g``."""
+    cells = list(itertools.product(*map(range, m)))
+    keys = itertools.product(range(1, g.num_orbits + 1), cells)
+    orbit = {key: number for number, key in enumerate(keys, 1)}
+    edges = []
+    for source, target, offset in g.edge_orbits:
+        for cell in cells:
+            moved = [c + o for c, o in zip(cell, offset)]
+            wrapped = tuple(x % k for x, k in zip(moved, m))
+            carry = tuple(x // k for x, k in zip(moved, m))
+            edges.append(
+                canonical_edge_orbit(orbit[source, cell], orbit[target, wrapped], carry)
+            )
+    return PeriodicGraph(g.dim, len(orbit), tuple(edges))
 
 
 def assert_outcome(call, expected):

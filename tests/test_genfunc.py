@@ -12,7 +12,6 @@ from ratcoord import (
     RationalGF,
     SemilinearSet,
     bfs_coordination,
-    cumulative_to_exact,
     fit_rational,
     gf_from_json,
     gf_to_json,
@@ -135,25 +134,6 @@ class TestAdd:
                 assert a + b == b + a
                 for c in qs[:4]:
                     assert (a + b) + c == a + (b + c)
-
-
-class TestCumulativeToExact:
-    def test_square_lattice(self):
-        cumulative = RationalGF((1, 2, 1), (1, -3, 3, -1))  # (1+z)^2/(1-z)^3
-        assert cumulative_to_exact(cumulative) == SQUARE_GF
-
-    def test_constant_cumulative(self):
-        assert cumulative_to_exact(RationalGF((1,), (1, -1))) == RationalGF.one()
-
-    def test_polynomial(self):
-        assert cumulative_to_exact(RationalGF.one()) == RationalGF((1, -1))
-
-    def test_difference_law(self, gf_corpus):
-        for q in gf_corpus:
-            diff = series_coeffs(cumulative_to_exact(q), 20)
-            cum = series_coeffs(q, 21)
-            expected = [cum[0]] + [cum[k] - cum[k - 1] for k in range(1, 21)]
-            assert diff == expected
 
 
 class TestSeries:

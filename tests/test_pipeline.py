@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,6 +15,7 @@ from ratcoord import (
     PeriodicGraph,
     RationalGF,
     SemilinearSet,
+    bfs_coordination,
     cross_verify,
     disambiguate,
     nfa_from_json,
@@ -37,6 +39,7 @@ from .conftest import (
     HONEYCOMB_TEXT,
     PCU_TEXT,
     SQUARE_TEXT,
+    supercell,
 )
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))
@@ -502,6 +505,33 @@ class TestMoreNets:
         assert report.gf_fit == report.gf_symbolic
         assert report.all_ok()
 
+    def test_hypercubic_lattice_4d(self):
+        # Z^4 on both paths: Conway and Sloane's ((1 + z) / (1 - z))^4
+        g = parse_periodic_graph(
+            "dim 4\nvertices 1\nedge 1 1 1 0 0 0\nedge 1 1 0 1 0 0\n"
+            "edge 1 1 0 0 1 0\nedge 1 1 0 0 0 1\n"
+        )
+        report = pipeline_coordination_gf(g, 1, "both", 30)
+        expected = RationalGF((1, 4, 6, 4, 1), (1, -4, 6, -4, 1))
+        assert report.gf_fit == expected
+        assert report.gf_symbolic == expected
+        assert report.symbolic_status == "ok"
+        assert report.all_ok()
+
+    def test_a4_root_lattice_fit(self):
+        # A_4, neighbours e_i and e_i - e_j: Conway and Sloane's
+        # sum_k C(4, k)^2 z^k / (1 - z)^4 (the symbolic path takes seconds)
+        g = parse_periodic_graph(
+            "dim 4\nvertices 1\n"
+            "edge 1 1 1 0 0 0\nedge 1 1 0 1 0 0\nedge 1 1 0 0 1 0\nedge 1 1 0 0 0 1\n"
+            "edge 1 1 1 -1 0 0\nedge 1 1 1 0 -1 0\nedge 1 1 1 0 0 -1\n"
+            "edge 1 1 0 1 -1 0\nedge 1 1 0 1 0 -1\nedge 1 1 0 0 1 -1\n"
+        )
+        report = pipeline_coordination_gf(g, 1, "fit", 30)
+        numerator = tuple(comb(4, k) ** 2 for k in range(5))
+        assert report.gf_fit == RationalGF(numerator, (1, -4, 6, -4, 1))
+        assert report.all_ok()
+
     def test_kagome(self):
         from ratcoord import parse_periodic_graph
 
@@ -529,6 +559,35 @@ class TestMoreNets:
             decomposition = disambiguate(image, box_radius=r)
             box = (-4 * r,) * (g.dim + 1), (4 * r,) * (g.dim + 1)
             assert validate_decomposition(image, decomposition, *box)
+
+
+class TestSupercells:
+    # a supercell has its net's coordination sequence from every copy of an
+    # orbit: an oracle that needs no closed form
+    @pytest.mark.parametrize(
+        "text,m",
+        [(SQUARE_TEXT, (2, 2)), (HONEYCOMB_TEXT, (2, 1)), (PCU_TEXT, (2, 1, 1))],
+        ids=["sql2x2", "hcb2x1", "pcu2x1x1"],
+    )
+    def test_bfs_matches_the_net(self, text, m):
+        g = parse_periodic_graph(text)
+        big = supercell(g, m)
+        assert big.num_orbits == g.num_orbits * prod(m)
+        expected = bfs_coordination(g, 1, 20).values
+        for origin in (1, prod(m)):  # the first and the last copy of orbit 1
+            assert bfs_coordination(big, origin, 20).values == expected, origin
+
+    @pytest.mark.parametrize(
+        "text,m,gf",
+        [(SQUARE_TEXT, (2, 2), SQUARE_GF), (HONEYCOMB_TEXT, (2, 1), HONEYCOMB_GF)],
+        ids=["sql2x2", "hcb2x1"],
+    )
+    def test_both_paths_give_the_nets_gf(self, text, m, gf):
+        big = supercell(parse_periodic_graph(text), m)
+        report = pipeline_coordination_gf(big, 1, "both", 30)
+        assert report.symbolic_status == "ok"
+        assert report.gf_symbolic == report.gf_fit == gf
+        assert report.all_ok()
 
 
 # Graphs whose whole Parikh image failed the doubled-box check when the

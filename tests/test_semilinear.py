@@ -40,7 +40,6 @@ from ratcoord.semilinear import (
     _magnitude,
     _positive_functional,
     _reachable,
-    same_in_box,
     same_shell_in_box,
 )
 from .conftest import (
@@ -106,7 +105,6 @@ class TestConstruction:
     def test_zero_and_duplicate_periods_stripped(self):
         l = LinearSet((0, 0), ((1, 0), (0, 0), (1, 0), (0, 2)))
         assert l.periods == ((1, 0), (0, 2))
-        assert l.stripped_periods == ((0, 0), (1, 0))
 
     def test_stripping_does_not_affect_equality(self):
         assert LinearSet((0,), ((2,), (2,))) == LinearSet((0,), ((2,),))
@@ -280,6 +278,16 @@ class TestEnumerateInBox:
         box = itertools.product(range(-6, 7), repeat=2)
         assert got == {point for point in box if member(OPPOSED, point)}
         assert (0, 0) in got and (2, -1) in got and (-2, 1) in got
+
+    def test_dropping_a_part_changes_the_functional(self):
+        # all three periods admit no positive functional, so the first part
+        # is dropped for its y alone; the second part's periods then admit
+        # (1, -1), under which its base lies above the box's top level and
+        # must be dropped too before the grid is built
+        s = SemilinearSet(
+            (LinearSet((1, 0), ((-1, 0),)), LinearSet((0, 0), ((0, -2), (2, 1))))
+        )
+        assert enumerate_in_box(s, (-1, 1), (0, 2)) == set()
 
     def test_distant_base_costs_the_sweep_its_region(self):
         # the sweep's region reaches out to the base, so a far base costs
@@ -576,6 +584,13 @@ class TestDisambiguate:
         with pytest.raises((DecompositionError, BudgetExceeded)):
             disambiguate(SemilinearSet((A2,)), budget=20)
 
+    def test_no_functional_fails_before_any_grid(self):
+        # at budget 1 this set's grid would raise BudgetExceeded, so the
+        # functional is checked before the grid is built
+        opposed = SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0))),))
+        with pytest.raises(DecompositionError, match="no positive functional"):
+            disambiguate(opposed, budget=1)
+
     def test_cone_stepping_past_the_box(self):
         # period (2, 1) takes the first part's base (2, -1) to (4, 0), outside
         # the box of radius 3, so the greedy search must still try it
@@ -587,30 +602,6 @@ class TestDisambiguate:
             LinearSet((2, -1), ((-1, 2), (2, 1))),
             LinearSet((2, 2), ((1, 1),)),
         )
-
-
-class TestSameInBox:
-    BOX = (-6, -6), (6, 6)
-    PAPER = SemilinearSet(
-        (
-            LinearSet((2, 2), ((2, 0), (0, 2))),
-            LinearSet((3, 3), ((2, 0), (0, 2))),
-        )
-    )
-
-    def test_equal_sets(self):
-        assert same_in_box(SemilinearSet((A2,)), self.PAPER, *self.BOX, 10**6)
-
-    def test_one_point_apart(self):
-        # A_FULL is A2 plus the origin
-        assert not same_in_box(A_FULL, self.PAPER, *self.BOX, 10**6)
-        assert not same_in_box(self.PAPER, A_FULL, *self.BOX, 10**6)
-
-    def test_empty_sets(self):
-        empty = SemilinearSet(())
-        assert same_in_box(empty, empty, *self.BOX, 10**6)
-        origin = SemilinearSet((LinearSet((0, 0)),))
-        assert not same_in_box(empty, origin, *self.BOX, 10**6)
 
 
 class TestDecomposeShell:

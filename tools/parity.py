@@ -15,12 +15,13 @@ graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2) and the
 second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
 enumeration, slice counts, representation counts, quasi-polynomial forms,
 box validation, the run-enumeration oracle's vector sets, which no gate
-command reaches, and the parts ``decompose_shell`` chooses, which the
-gate commands show only through their GFs)
+command reaches, the parts ``decompose_shell`` chooses, which the
+gate commands show only through their GFs, and the doubled-box check
+``same_shell_in_box`` on true and false shells)
 once per tree and prints their results as canonical JSON; a call that raises
-BudgetExceeded or NotQuasiPolynomialError has that as its result.  The exit
-status is 1 when any command or library probe differs, 2 on a usage error,
-else 0.
+BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
+its result.  The exit status is 1 when any command or library probe
+differs, 2 on a usage error, else 0.
 Standard library only.
 """
 
@@ -80,21 +81,26 @@ sys.path.insert(0, sys.argv[1])
 from ratcoord.automaton import (
     VectorNFA, build_coordination_nfa, parikh_image, run_parikh_oracle,
 )
-from ratcoord.errors import BudgetExceeded
+from ratcoord.errors import BudgetExceeded, DecompositionError
 from ratcoord.genfunc import (
     NotQuasiPolynomialError, RationalGF, fit_rational, to_quasi_polynomial,
 )
 from ratcoord.periodic_graph import bfs_coordination, parse_periodic_graph
 from ratcoord.semilinear import (
     LinearSet, SemilinearSet, _magnitude, count_representations, decompose_shell,
-    disambiguate, enumerate_in_box, semilinear_from_json, slice_counts,
-    validate_decomposition,
+    disambiguate, enumerate_in_box, same_shell_in_box, semilinear_from_json,
+    slice_counts, validate_decomposition,
 )
 bench = Path(sys.argv[2])
 A2 = LinearSet((2, 2), ((2, 0), (1, 1), (0, 2)))
 OPPOSED = SemilinearSet((
     LinearSet((0, 0), ((2, -1), (-1, 2))), LinearSet((0, 0), ((-2, 1), (1, -2))),
 ))
+# a part dropped for its y alone leaves periods whose functional puts the
+# other part's base above the box's top level
+DROPPED = SemilinearSet(
+    (LinearSet((1, 0), ((-1, 0),)), LinearSet((0, 0), ((0, -2), (2, 1))))
+)
 # the far-base example of enumerate_in_box's docstring
 FAR = SemilinearSet((LinearSet((8, -7, 11, -2), ((-2, -2, -3, 3), (2, 3, -3, 0))),))
 FAR_BOX = (-5, -4, -1, 2), (-4, 0, 2, 4)
@@ -126,6 +132,9 @@ def box(s, scale):  # the certification box (scale 1) or the doubled one (2)
     r = scale * (_magnitude(s.parts) + 8)
     return (-r,) * s.dim, (r,) * s.dim
 
+def same_shell(s, shell):  # the pipeline's doubled-box check at 2r
+    return same_shell_in_box(s, shell, *box(s, 2), 5_000_000)
+
 def points(s, lo, hi, *budget):
     return sorted(enumerate_in_box(s, lo, hi, *budget))
 
@@ -150,6 +159,7 @@ images = {"sql": image("sql", 1), "hcb t1": image("hcb", 1), "hcb t2": image("hc
 probes = {
     "enumerate A2 (0,0)-(20,20)": lambda: points(SemilinearSet((A2,)), (0, 0), (20, 20)),
     "enumerate OPPOSED": lambda: points(OPPOSED, (-6, -6), (6, 6)),
+    "enumerate DROPPED": lambda: points(DROPPED, (-1, 1), (0, 2)),
     "enumerate far base 10**6": lambda: points(FAR, *FAR_BOX, 10**6),
     "enumerate far base 10**7": lambda: points(FAR, *FAR_BOX, 10**7),
     "count_representations A2": lambda: [
@@ -185,11 +195,22 @@ for target in (1, 2):
     probes[f"enumerate 4off t{target} doubled"] = lambda s=s: points(s, *box(s, 2))
 for name, s in images.items():
     probes[f"validate {name}"] = lambda s=s: validated(s)
+images["pcu t1"] = image("pcu", 1)
+for name in ("sql", "hcb t1", "pcu t1", "4off t1"):
+    s = images[name]  # true with its shell's parts, false with the image itself
+    probes[f"same_shell_in_box {name} shell"] = lambda s=s: same_shell(
+        s, decompose_shell(s, box(s, 1)[1][0])
+    )
+    probes[f"same_shell_in_box {name} image"] = lambda s=s: same_shell(s, s)
+# no positive functional: raised before a grid that budget 1 cannot hold
+probes["disambiguate no functional budget 1"] = lambda: disambiguate(
+    SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0))),)), budget=1
+)
 results = {}
 for label, probe in probes.items():
     try:
         results[label] = probe()
-    except (BudgetExceeded, NotQuasiPolynomialError) as exc:
+    except (BudgetExceeded, DecompositionError, NotQuasiPolynomialError) as exc:
         results[label] = {type(exc).__name__: str(exc)}
 print(json.dumps(results, sort_keys=True, separators=(",", ":")))
 """
