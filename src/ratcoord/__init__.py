@@ -21,8 +21,6 @@ from .automaton import (
 from .cli import (
     PipelineReport,
     cross_verify,
-    nfa_from_json,
-    nfa_to_json,
     pipeline_coordination_gf,
     symbolic_coordination_gf,
 )
@@ -32,7 +30,6 @@ from .genfunc import (
     QuasiPolynomial,
     RationalGF,
     fit_rational,
-    gf_from_json,
     gf_to_json,
     gf_unambiguous_linear,
     gf_unambiguous_sum,
@@ -105,7 +102,6 @@ __all__ = [
     "disambiguate",
     "enumerate_in_box",
     "fit_rational",
-    "gf_from_json",
     "gf_to_json",
     "gf_unambiguous_linear",
     "gf_unambiguous_sum",
@@ -113,8 +109,6 @@ __all__ = [
     "linear_set_from_json",
     "linear_set_to_json",
     "member",
-    "nfa_from_json",
-    "nfa_to_json",
     "parikh_image",
     "parse_periodic_graph",
     "pipeline_coordination_gf",

@@ -184,10 +184,12 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     """Points ``base + sum n_j * p_j`` in ``[lo, hi]`` with their multiplicities.
 
     Returns ``{point: number of coefficient tuples giving it}``; a period
-    listed twice counts as two.  The periods are added in sorted order: a
-    state is a partial sum, and period j expands every state, one
-    multiplicity at a time.  Equal partial sums merge and add their
-    multiplicities, so the counts stay exact.
+    listed twice counts as two.  A state is a partial sum, and period j
+    expands every state, one multiplicity at a time.  Equal partial sums
+    merge and add their multiplicities, so the counts stay exact in any
+    order of the periods.  Periods with a negative coordinate come first,
+    then the larger step of the functional, so that the sign bounds below
+    apply from the first periods on.
 
     ``weights`` is an integer functional with ``weights . p >= 1`` for every
     period (or None); it rides along as one more coordinate, bounded by its
@@ -206,9 +208,8 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     nodes = 1  # the base
     if nodes > max_nodes:
         raise BudgetExceeded(f"box enumeration exceeded {max_nodes} nodes")
-    base, periods, lo, hi = _with_functional(
-        weights, tuple(base), sorted(map(tuple, periods)), lo, hi
-    )
+    base, periods, lo, hi = _with_functional(weights, tuple(base), periods, lo, hi)
+    periods.sort(key=lambda p: (min(p) >= 0, -p[-1], p))  # p[-1]: the functional
     states = {} if _past_box(base, periods, lo, hi) else {base: 1}
     for j, period in enumerate(periods):
         rest = periods[j + 1 :]

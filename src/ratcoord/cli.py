@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .automaton import VectorNFA, build_coordination_nfa, parikh_image, run_parikh_oracle
+from .automaton import build_coordination_nfa, parikh_image, run_parikh_oracle
 from .errors import BudgetExceeded, DecompositionError
 from .genfunc import (
     RationalGF,
@@ -42,7 +42,6 @@ from .periodic_graph import (
 )
 from .semilinear import (
     _magnitude,
-    _malformed,
     decompose_shell,
     disambiguate,
     enumerate_in_box,  # unused; kept bound for ratbench/tracing.py, which patches it
@@ -214,54 +213,29 @@ def cross_verify(
 ) -> PipelineReport:
     """Both pipeline paths plus the run-enumeration oracle slice check.
 
-    The oracle check compares, for every distance bound y up to
-    ``min(ORACLE_DEPTH, depth)``, the number of automaton-reachable cells
-    against the cumulative BFS counts.  Mismatches are report content, not
-    errors.
+    The oracle check compares, for every distance bound y up to ylim, the
+    number of automaton-reachable cells against the cumulative BFS counts;
+    ylim, the check's ``depth``, is the largest y <= ``min(ORACLE_DEPTH,
+    depth)`` at which every target's oracle fits its budget (y = 0 always
+    does).  Mismatches are report content, not errors.
     """
     report = pipeline_coordination_gf(
         g, origin_orbit, method="both", depth=depth, graph_id=graph_id
     )
-    ylim = min(ORACLE_DEPTH, depth)
-    oracle_cumulative = [0] * (ylim + 1)
-    for target in range(1, g.num_orbits + 1):
-        nfa = build_coordination_nfa(g, origin_orbit, target)
-        for vector in run_parikh_oracle(nfa, ylim):
-            oracle_cumulative[vector[-1]] += 1
+    nfas = [build_coordination_nfa(g, origin_orbit, t) for t in range(1, g.num_orbits + 1)]
+    for ylim in range(min(ORACLE_DEPTH, depth), -1, -1):
+        oracle_cumulative = [0] * (ylim + 1)
+        try:
+            for nfa in nfas:
+                for vector in run_parikh_oracle(nfa, ylim):
+                    oracle_cumulative[vector[-1]] += 1
+            break
+        except BudgetExceeded:
+            if ylim == 0:
+                raise
     bfs_cumulative = cumulative_counts(report.bfs_sequence)[: ylim + 1]
     entry = _compare("oracle", oracle_cumulative, "bfs_cumulative", bfs_cumulative, ylim)
     return replace(report, agreement=report.agreement + (entry,))
-
-
-# ---------------------------------------------------------------------------
-# NFA serialization (JSON wire format)
-
-def nfa_to_json(a: VectorNFA) -> dict:
-    return {
-        "out_dim": a.out_dim,
-        "num_states": a.num_states,
-        "initial": sorted(a.initial),
-        "final": sorted(a.final),
-        "transitions": [
-            [s, list(output), t] for s, output, t in a.transitions
-        ],
-    }
-
-
-def nfa_from_json(data: dict) -> VectorNFA:
-    """Inverse of nfa_to_json; ValueError on a missing key, a wrong shape or
-    a number that is not a JSON integer (none is converted)."""
-    keys = ("out_dim", "num_states", "initial", "final", "transitions")
-    try:
-        out_dim, num_states, initial, final, moves = (data[key] for key in keys)
-        transitions = tuple((s, tuple(out), t) for s, out, t in moves)
-        numbers = [out_dim, num_states, *initial, *final]
-        numbers += [x for s, out, t in transitions for x in (s, *out, t)]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: unpacking
-        raise _malformed("NFA", exc) from exc
-    if not all(type(x) is int for x in numbers):
-        raise ValueError("malformed NFA JSON: non-integer number")
-    return VectorNFA(out_dim, num_states, initial, final, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._exactlinalg import _eliminate, _null_vector, integral
-from .semilinear import LinearSet, _malformed
+from .semilinear import LinearSet
 
 
 class NotQuasiPolynomialError(ValueError):
@@ -119,21 +119,19 @@ class RationalGF:
     Canonical form: numerator and denominator are coprime integer
     polynomials with coprime contents, and the denominator has constant term
     +1 (so the value is an integer power series and two equal values have
-    identical tuples).  Rational input is scaled to integers once (integer
-    input builds no Fraction); the common factor is removed by an exact
-    integer division by the primitive gcd.
+    identical tuples).  Coefficients must be integers, as everywhere in the
+    package (``_exactlinalg.integral``: 2.0 passes, 1/2 raises ValueError);
+    the common factor is removed by an exact integer division by the
+    primitive gcd.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(1,)):
-        num = _trim(x if type(x) is int else Fraction(x) for x in num)
-        den = _trim(x if type(x) is int else Fraction(x) for x in den)
+        num = _trim(integral(num, "coefficients"))
+        den = _trim(integral(den, "coefficients"))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        scale = math.lcm(*(x.denominator for x in num + den))
-        num = tuple(x.numerator * (scale // x.denominator) for x in num)
-        den = tuple(x.numerator * (scale // x.denominator) for x in den)
         g = _pgcd(num, den)  # den itself, up to its content, when num is 0
         num, den = _pdiv(num, g), _pdiv(den, g)
         if den[0] == 0:
@@ -394,19 +392,3 @@ def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial
 
 def gf_to_json(q: RationalGF) -> dict:
     return {"num": list(q.num), "den": list(q.den)}
-
-
-def gf_from_json(data: dict) -> RationalGF:
-    """Inverse of gf_to_json; ValueError on a missing key, a wrong shape, a
-    coefficient that is not a JSON integer (none is converted) or a zero
-    denominator."""
-    try:
-        num, den = data["num"], data["den"]
-        integers = all(type(x) is int for x in (*num, *den))
-    except (KeyError, TypeError) as exc:
-        raise _malformed("generating function", exc) from exc
-    if not integers:
-        raise ValueError("malformed generating function JSON: non-integer coefficient")
-    if not any(den):
-        raise ValueError("malformed generating function JSON: zero denominator")
-    return RationalGF(num, den)

@@ -15,6 +15,7 @@ from ratcoord import (
     SemilinearSet,
     VectorNFA,
     canonical_edge_orbit,
+    cover_neighbors,
     parse_periodic_graph,
 )
 
@@ -70,6 +71,22 @@ def supercell(g, m):
                 canonical_edge_orbit(orbit[source, cell], orbit[target, wrapped], carry)
             )
     return PeriodicGraph(g.dim, len(orbit), tuple(edges))
+
+
+def cover_distances(g, start, depth):
+    """``{cover vertex: distance}`` within ``depth`` of the cover vertex
+    ``start``, by plain BFS: the slow reference, one ``cover_neighbors``
+    call per vertex."""
+    distances, frontier = {start: 0}, [start]
+    for distance in range(1, depth + 1):
+        reached = []
+        for v in frontier:
+            for u in cover_neighbors(g, v):
+                if u not in distances:
+                    distances[u] = distance
+                    reached.append(u)
+        frontier = reached
+    return distances
 
 
 def assert_outcome(call, expected):

@@ -12,7 +12,6 @@ from ratcoord import (
     VectorNFA,
     bfs_coordination,
     build_coordination_nfa,
-    cover_neighbors,
     cumulative_counts,
     enumerate_in_box,
     member,
@@ -21,7 +20,7 @@ from ratcoord import (
     slice_counts,
 )
 from ratcoord import _kernels, automaton, parse_periodic_graph
-from .conftest import SQUARE_TEXT, assert_outcome
+from .conftest import SQUARE_TEXT, assert_outcome, cover_distances
 
 SQUARE_NFA = build_coordination_nfa(parse_periodic_graph(SQUARE_TEXT), 1, 1)
 NETS = Path(__file__).resolve().parents[1] / "ratbench" / "nets"
@@ -200,21 +199,6 @@ def test_oracle_matches_image_kernel_on_corpus_nets(net):
         assert run_parikh_oracle(nfa, 8) == {v for _, v in profiles}, (net, target)
 
 
-def _distance_map(g, origin, depth):
-    """Cover distances from (origin, 0) up to the given depth."""
-    frontier = [CoverVertex(origin, (0,) * g.dim)]
-    distances = {frontier[0]: 0}
-    for d in range(1, depth + 1):
-        nxt = []
-        for v in frontier:
-            for w in cover_neighbors(g, v):
-                if w not in distances:
-                    distances[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return distances
-
-
 class TestOracleEquivalence:
     """The central soundness/completeness harness.
 
@@ -286,7 +270,7 @@ class TestCoordinationInvariants:
 
     def test_membership_equals_distance_bound(self, honeycomb):
         depth = 6
-        distances = _distance_map(honeycomb, 1, depth + 1)
+        distances = cover_distances(honeycomb, CoverVertex(1, (0, 0)), depth + 1)
         images = {
             t: parikh_image(build_coordination_nfa(honeycomb, 1, t))
             for t in (1, 2)

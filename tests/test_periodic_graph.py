@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,14 @@ from ratcoord import (
     cumulative_counts,
     parse_periodic_graph,
 )
-from .conftest import BCU_TEXT, DIA_TEXT, PCU_TEXT, SQUARE_TEXT, assert_outcome
+from .conftest import (
+    BCU_TEXT,
+    DIA_TEXT,
+    PCU_TEXT,
+    SQUARE_TEXT,
+    assert_outcome,
+    cover_distances,
+)
 
 
 class TestParse:
@@ -294,20 +302,9 @@ def graph_and_vertex(draw):
 
 
 def _plain_bfs(g, start, depth):
-    # the slow reference: one cover_neighbors call per vertex, the whole ball
-    seen = {start}
-    frontier = [start]
-    counts = [1]
-    for _ in range(depth):
-        nxt = []
-        for v in frontier:
-            for w in cover_neighbors(g, v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        counts.append(len(nxt))
-        frontier = nxt
-    return tuple(counts)
+    """Layer sizes of the reference BFS from ``start``."""
+    layers = Counter(cover_distances(g, start, depth).values())
+    return tuple(layers[d] for d in range(depth + 1))
 
 
 class TestProperties:

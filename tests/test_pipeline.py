@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratcoord import (
+    BudgetExceeded,
     CoverVertex,
     DecompositionError,
     LinearSet,
@@ -18,11 +20,8 @@ from ratcoord import (
     bfs_coordination,
     cross_verify,
     disambiguate,
-    nfa_from_json,
-    nfa_to_json,
     build_coordination_nfa,
     canonical_edge_orbit,
-    cover_neighbors,
     decompose_shell,
     linear_set_to_json,
     parikh_image,
@@ -39,26 +38,12 @@ from .conftest import (
     HONEYCOMB_TEXT,
     PCU_TEXT,
     SQUARE_TEXT,
+    cover_distances,
     supercell,
 )
 
 SQUARE_GF = RationalGF((1, 2, 1), (1, -2, 1))
 HONEYCOMB_GF = RationalGF((1, 1, 1), (1, -2, 1))
-
-
-def _first_distances(g, origin_orbit, depth):
-    """{cover vertex: distance} within ``depth`` of the origin, by plain BFS."""
-    origin = CoverVertex(origin_orbit, (0,) * g.dim)
-    distances, frontier = {origin: 0}, [origin]
-    for distance in range(1, depth + 1):
-        reached = []
-        for v in frontier:
-            for u in cover_neighbors(g, v):
-                if u not in distances:
-                    distances[u] = distance
-                    reached.append(u)
-        frontier = reached
-    return distances
 
 
 class TestPipeline:
@@ -179,7 +164,8 @@ class TestPipeline:
             for part in shell.parts:
                 counts.update(_part_counts(part, *box, 10**7))
             assert set(counts.values()) == {1}
-            first = _first_distances(g, 1, far)  # far may differ by target
+            origin = CoverVertex(1, (0,) * g.dim)
+            first = cover_distances(g, origin, far)  # far may differ by target
             assert counts.keys() == {
                 (*v.shift, distance)
                 for v, distance in first.items()
@@ -219,6 +205,27 @@ class TestCrossVerify:
         report = cross_verify(honeycomb, 1, 20)
         assert len(calls) == 2 and report.all_ok(), report.agreement
 
+    def test_oracle_over_budget_checks_a_shallower_depth(
+        self, graph_files, monkeypatch, capsys
+    ):
+        import ratcoord.cli as cli
+
+        oracle = cli.run_parikh_oracle
+
+        def capped(nfa, max_len):
+            if max_len > 5:
+                raise BudgetExceeded("run vectors would span more bits")
+            return oracle(nfa, max_len)
+
+        monkeypatch.setattr(cli, "run_parikh_oracle", capped)
+        argv = [graph_files["honeycomb"], "--origin", "1", "--depth", "12"]
+        gf_code = main(["gf", *argv])
+        capsys.readouterr()
+        assert main(["verify", *argv]) == gf_code == 0
+        out = capsys.readouterr().out
+        assert "agreement bfs_vs_symbolic: ok (depth 12)" in out
+        assert "agreement oracle_vs_bfs_cumulative: ok (depth 5)" in out
+
     def test_corrupted_symbolic_is_flagged(self, square, monkeypatch):
         import ratcoord.cli as cli
 
@@ -237,38 +244,6 @@ class TestCrossVerify:
             if not e["ok"]
         }
         assert bad == {"bfs_vs_symbolic": 3, "fit_vs_symbolic": 3}
-
-
-class TestNfaJson:
-    def test_round_trip(self, honeycomb):
-        a = build_coordination_nfa(honeycomb, 1, 2)
-        data = nfa_to_json(a)
-        assert set(data) == {
-            "out_dim",
-            "num_states",
-            "initial",
-            "final",
-            "transitions",
-        }
-        assert nfa_from_json(json.loads(json.dumps(data))) == a
-
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            pytest.param({"transitions": None}, "missing key 'transitions'", id="missing_key"),
-            pytest.param({"initial": 1}, "wrong shape", id="wrong_shape"),
-            pytest.param({"transitions": [[1, [0, 1]]]}, "wrong shape", id="short_transition"),
-            pytest.param({"transitions": [[1, [2.0, 1], 1]]}, "non-integer", id="float"),
-            pytest.param({"out_dim": True}, "non-integer", id="true"),
-        ],
-    )
-    def test_malformed_rejected(self, change, message):
-        data = {"out_dim": 2, "num_states": 1, "initial": [1], "final": [1], **change}
-        data.setdefault("transitions", [[1, [0, 1], 1]])
-        if data["transitions"] is None:
-            del data["transitions"]
-        with pytest.raises(ValueError, match=f"malformed NFA JSON: {message}"):
-            nfa_from_json(data)
 
 
 @pytest.fixture()
@@ -576,6 +551,26 @@ class TestSupercells:
         expected = bfs_coordination(g, 1, 20).values
         for origin in (1, prod(m)):  # the first and the last copy of orbit 1
             assert bfs_coordination(big, origin, 20).values == expected, origin
+
+    @pytest.mark.parametrize(
+        "text,m", [(SQUARE_TEXT, (2, 2)), (PCU_TEXT, (2, 1, 1))], ids=["sql2x2", "pcu2x1x1"]
+    )
+    def test_cover_distances_map_to_the_nets(self, text, m):
+        # supercell vertex (orbit of (v, r), cell c) is the net's (v, m * c + r):
+        # a wrong offset map moves vertices even where the sequence survives
+        g = parse_periodic_graph(text)
+        big = supercell(g, m)
+        cells = list(itertools.product(*map(range, m)))
+        keys = list(itertools.product(range(1, g.num_orbits + 1), cells))
+
+        def in_net(u):
+            v, residue = keys[u.orbit - 1]
+            return CoverVertex(v, tuple(k * c + r for k, c, r in zip(m, u.shift, residue)))
+
+        for origin in (1, prod(m)):
+            start = CoverVertex(origin, (0,) * g.dim)
+            mapped = {in_net(u): d for u, d in cover_distances(big, start, 8).items()}
+            assert mapped == cover_distances(g, in_net(start), 8), origin
 
     @pytest.mark.parametrize(
         "text,m,gf",

@@ -387,6 +387,9 @@ class TestCheckUnambiguous:
     @given(functional_linear_sets())
     @example(LinearSet((2, 1), ((3, 0), (-2, 2), (3, 1))))  # witness (20, 7)
     @example(LinearSet((0, 0, 0), ((1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 2, 2))))
+    # witness (24, 159, 63), 86 representations: over the default node
+    # budget unless periods with a negative coordinate are added first
+    @example(LinearSet((0, 0, 0), ((0, 3, 3), (1, 2, -2), (-2, 3, 1), (3, 2, 1), (0, 0, 1))))
     def test_exact_against_counts(self, l):
         cert = check_unambiguous(l)
         independent = rank(l.periods) == len(l.periods)

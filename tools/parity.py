@@ -20,8 +20,10 @@ gate commands show only through their GFs, and the doubled-box check
 ``same_shell_in_box`` on true and false shells)
 once per tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
-its result.  The exit status is 1 when any command or library probe
-differs, 2 on a usage error, else 0.
+its result.  Last it prints each tree's number of lines under
+``src/ratcoord/`` (as ``cat src/ratcoord/*.py | wc -l`` counts them), which
+does not affect the exit status.  The exit status is 1 when any command or
+library probe differs, 2 on a usage error, else 0.
 Standard library only.
 """
 
@@ -288,6 +290,12 @@ def library_results(tree, bench, kagome):
     return json.loads(done.stdout), wall
 
 
+def src_lines(tree):
+    """Newlines in the tree's ``src/ratcoord/*.py``."""
+    files = (tree / "src" / "ratcoord").glob("*.py")
+    return sum(path.read_bytes().count(b"\n") for path in files)
+
+
 def main() -> int:
     args = sys.argv[1:]
     if len(args) != 2:
@@ -335,6 +343,7 @@ def main() -> int:
         print(f"{label:<36} {'identical' if same else 'DIFF'}", flush=True)
     print(f"{differ} of {len(commands)} commands differ")
     print(f"{probes_differ} of {len(labels)} library probes differ")
+    print(f"src/ratcoord lines old/new: {src_lines(old)}/{src_lines(new)}")
     return 1 if differ or probes_differ or not labels else 0
 
 
