@@ -16,12 +16,13 @@ question is one sweep: ``disambiguate`` sweeps its input and candidate
 cones, certifies by popcount and decodes only the bases it chooses, the
 doubled-box check compares two sets' levels, and ``enumerate_in_box``
 decodes one union.  A search over partial sums gives the points of one
-linear set with their representation counts, for counting, membership and
-``validate_decomposition``; it and ``enumerate_in_box`` share one test for
-a base past the box.  The public modules call these kernels through this
-module's attributes (``_kernels.name``), so a wrapper installed here sees
-every call.  All indices here are 0-based (the public modules use 1-based
-orbits/states and convert).
+linear set with their representation counts, for counting, membership of
+parts with a functional and ``validate_decomposition``; it and
+``enumerate_in_box`` share one test for a base past the box.  The public
+modules call these kernels through this module's attributes
+(``_kernels.name``), so a wrapper installed here sees every call.  All
+indices here are 0-based (the public modules use 1-based orbits/states and
+convert).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from operator import add, and_
 
 from . import _kernels
 from ._exactlinalg import _eliminate, _null_vector, integral, rank
-from .errors import BudgetExceeded, DecompositionError
+from .errors import DecompositionError
 
 
 @dataclass(frozen=True)
@@ -153,77 +153,50 @@ def _magnitude(parts) -> int:
 def count_representations(l: LinearSet, v, budget: int = 1_000_000) -> int:
     """Exact number of coefficient tuples representing v in the linear set.
 
-    Linearly independent periods are settled by fraction-free elimination
-    of the integer rows ``[p_1[i], ..., p_k[i], v[i] - base[i]]``: the one
-    solution is read off the pivot rows.  Otherwise the multiplicity kernel
-    counts over the one-point box ``[v, v]``, after the same elimination
-    has checked rational feasibility when no positive functional bounds
-    that search.  ``budget`` caps explored nodes and exceeding it raises
-    BudgetExceeded, except that with no such functional a v that
-    ``_reachable`` does not reach counts 0.
+    Fraction-free elimination of the integer rows ``[p_1[i], ..., p_k[i],
+    v[i] - base[i]]`` settles an inconsistent system (0) and linearly
+    independent periods, whose one solution is read off the pivot rows.
+    Otherwise, when no positive functional bounds the periods, a v that the
+    sweep of ``enumerate_in_box`` does not reach counts 0; the rest are
+    counted by the multiplicity kernel over the one-point box ``[v, v]``.
+    ``budget`` caps the sweep's grid at ``64 * budget`` bits and the
+    kernel's explored nodes at ``budget``; exceeding either raises
+    BudgetExceeded, as a member whose periods have a zero-sum combination
+    (infinitely many tuples) does.
     """
     _check_dim(l, v)
     v = integral(v)
-    w = _positive_functional(l.periods, l.dim)
     k = len(l.periods)
-    # more periods than coordinates are dependent, so there is no shortcut
-    if w is None or k <= l.dim:
-        rows = [[*column, a - b] for *column, a, b in zip(*l.periods, v, l.base)]
-        pivots, stop = _eliminate(rows, k)
-        if stop < len(rows):
-            return 0
-        if len(pivots) == k:
-            # the coefficient of pivot column c is r[k] / r[c]
-            ok = all(r[k] % r[c] == 0 and r[k] * r[c] >= 0
-                     for r, c in zip(rows, pivots))
-            return 1 if ok else 0
-    try:
-        return _part_counts(l, v, v, budget).get(v, 0)
-    except BudgetExceeded:
-        # with no functional the kernel's search may be unbounded: a point
-        # that no sum of periods reaches is still settled, as a non-member
-        if w is None and not _reachable(l, v, budget):
-            return 0
-        raise
-
-
-def _reachable(l: LinearSet, v, budget: int) -> bool:
-    """True iff base plus some sum of periods is v, by search over points.
-
-    The Steinitz lemma orders the periods of any representation so that every
-    partial sum stays within ``2 * dim * M`` (M the largest period coordinate)
-    of the segment from base to v, so searching that box is complete.
-    """
-    slack = 2 * l.dim * max([0] + [abs(x) for p in l.periods for x in p])
-    box = [(min(b, x) - slack, max(b, x) + slack) for b, x in zip(l.base, v)]
-    seen, frontier = {l.base}, [l.base]
-    while frontier and len(seen) <= budget:
-        cur = frontier.pop()
-        if cur == v:
-            return True
-        for period in l.periods:
-            nxt = tuple(c + p for c, p in zip(cur, period))
-            inside = all(a <= c <= b for c, (a, b) in zip(nxt, box))
-            if inside and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if frontier:
-        raise BudgetExceeded(f"membership search exceeded {budget} points")
-    return False
+    rows = [[*column, a - b] for *column, a, b in zip(*l.periods, v, l.base)]
+    pivots, stop = _eliminate(rows, k)
+    if stop < len(rows):
+        return 0
+    if len(pivots) == k:
+        # the coefficient of pivot column c is r[k] / r[c]
+        ok = all(r[k] % r[c] == 0 and r[k] * r[c] >= 0
+                 for r, c in zip(rows, pivots))
+        return 1 if ok else 0
+    if _positive_functional(l.periods, l.dim) is None and v not in enumerate_in_box(
+        SemilinearSet((l,)), v, v, budget
+    ):
+        return 0
+    return _part_counts(l, v, v, budget).get(v, 0)
 
 
 def member(s: SemilinearSet, v, budget: int = 1_000_000) -> bool:
     """True iff some part represents v at least once.
 
-    Parts without a positive functional may have periods with a zero-sum
-    combination, which no count bounds, so they are searched by point.
+    A part with a positive functional counts its representations.  A part
+    without one may have periods with a zero-sum combination, which no
+    count bounds, so it is swept by ``enumerate_in_box`` over the one-point
+    box ``[v, v]``, whose grid ``budget`` caps at ``64 * budget`` bits.
     """
     _check_dim(s, v)
     v = integral(v)
     return any(
         count_representations(part, v, budget=budget) >= 1
         if _positive_functional(part.periods, part.dim) is not None
-        else _reachable(part, v, budget)
+        else v in enumerate_in_box(SemilinearSet((part,)), v, v, budget)
         for part in s.parts
     )
 

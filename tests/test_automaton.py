@@ -77,10 +77,19 @@ class TestVectorNFA:
             BudgetExceeded("more than 0 elementary circuits"),
             id="circuit_cap",
         ),
+        pytest.param(  # the one-state case above never enters the search loop
+            lambda: parikh_image(
+                VectorNFA(2, 2, {1}, {2}, ((1, (1, 1), 2), (2, (-1, 1), 1)))
+            ),
+            BudgetExceeded("run enumeration exceeded 1 states"),
+            id="run_search_budget",
+        ),
     ],
 )
 def test_guards(call, expected, monkeypatch):
-    monkeypatch.setattr(automaton, "PARIKH_CYCLE_CAP", 0)  # read by parikh_image only
+    # both are read by parikh_image only
+    monkeypatch.setattr(automaton, "PARIKH_CYCLE_CAP", 0)
+    monkeypatch.setattr(automaton, "PARIKH_MAX_ENTRIES", 1)
     assert_outcome(call, expected)
 
 

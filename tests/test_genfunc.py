@@ -318,6 +318,11 @@ class TestQuasiPolynomial:
         pytest.param(
             lambda: str(RationalGF((1, 2, 1))), "(1 + 2*z + z^2)", id="str_polynomial"
         ),
+        pytest.param(  # a zero coefficient leaves no term
+            lambda: str(RationalGF((1, 0, 1), (1, 0, -1))),
+            "(1 + z^2)/(1 - z^2)",
+            id="str_zero_coefficient",
+        ),
         pytest.param(
             lambda: setattr(RationalGF.one(), "num", (2,)),
             AttributeError("RationalGF is immutable"),

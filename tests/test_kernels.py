@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import ratcoord
 from ratcoord import _kernels
 from ratcoord.errors import BudgetExceeded
-from ratcoord.semilinear import LinearSet, _reachable
 
 
 @st.composite
@@ -211,6 +210,29 @@ def linear_sets_without_functional(draw):
     return tuple(parts), lo, hi
 
 
+def _reachable(base, periods, v):
+    """True iff base plus some sum of periods is v, by search over points.
+
+    The Steinitz lemma orders the periods of any representation so that every
+    partial sum stays within ``2 * dim * M`` (M the largest period coordinate)
+    of the segment from base to v, so searching that box is complete.
+    """
+    slack = 2 * len(base) * max([0] + [abs(x) for p in periods for x in p])
+    box = [(min(b, x) - slack, max(b, x) + slack) for b, x in zip(base, v)]
+    seen, frontier = {base}, [base]
+    while frontier:
+        cur = frontier.pop()
+        if cur == v:
+            return True
+        for period in periods:
+            nxt = tuple(c + p for c, p in zip(cur, period))
+            inside = all(a <= c <= b for c, (a, b) in zip(nxt, box))
+            if inside and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(linear_sets_without_functional())
 @example(((((0,), ((1,), (-1,))),), (-2,), (3,)))
@@ -221,7 +243,7 @@ def test_sweep_without_functional_matches_reachability(case):
     box = itertools.product(*[range(low, high + 1) for low, high in zip(lo, hi)])
     expected = {
         point for point in box
-        if any(_reachable(LinearSet(base, periods), point, 10**6) for base, periods in parts)
+        if any(_reachable(base, periods, point) for base, periods in parts)
     }
     assert _swept_points(parts, lo, hi, None, 10**6) == expected
 

@@ -39,7 +39,6 @@ from ratcoord.semilinear import (
     _independent_subsets,
     _magnitude,
     _positive_functional,
-    _reachable,
     same_shell_in_box,
 )
 from .conftest import (
@@ -75,10 +74,14 @@ RAY = SemilinearSet((LinearSet((0,), ((1,),)),))
             ValueError("vector (1, 2, 3) has wrong dimension (expected 2)"),
             id="check_dim",
         ),
-        pytest.param(
-            lambda: _reachable(LinearSet((0, 0), ((1, 0), (0, 1))), (9, 9), 5),
-            BudgetExceeded("membership search exceeded 5 points"),
-            id="reachable_budget",
+        pytest.param(  # no positive functional: the sweep's grid is capped
+            lambda: member(
+                SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0), (0, 1))),)),
+                (9, 9),
+                budget=1,
+            ),
+            BudgetExceeded("box levels would span more than 64 bits"),
+            id="member_sweep_budget",
         ),
         pytest.param(
             lambda: slice_counts(RAY, 1, -1),
@@ -181,7 +184,7 @@ class TestCountRepresentations:
 
     def test_non_member_of_zero_sum_periods(self):
         # (1, -1) = (2, -2) / 2 is rationally reachable, not integrally, and
-        # no functional bounds the counts kernel: the point search says 0
+        # no functional bounds the counts kernel: the sweep says 0
         l = LinearSet((0, 0), ((2, -2), (-2, 2)))
         assert count_representations(l, (1, -1)) == 0
         assert count_representations(l, (1, 0)) == 0
@@ -226,6 +229,12 @@ class TestMember:
             for b in range(-4, 5):
                 assert member(s, (a, b)) is True
                 assert member(line, (a, b)) == (a % 2 == 0 and b >= 0)
+
+    def test_lattice_sweep_budget_is_in_grid_bits(self):
+        # no positive functional: one sweep over the Steinitz region of
+        # (0, 0) and (40, 40), a grid of well under 64 * 100 bits
+        s = SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0), (0, 1), (0, -1))),))
+        assert member(s, (40, 40), budget=100) is True
 
 
 class TestEnumerateInBox:

@@ -13,12 +13,12 @@ second orbit the first cannot reach (an empty Parikh image), the random
 graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2) and the
 3-orbit net of ROADMAP item 7 are written to a temporary directory.  A
 second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
-enumeration, slice counts, representation counts, quasi-polynomial forms,
-box validation, the run-enumeration oracle's vector sets, which no gate
-command reaches, the parts ``decompose_shell`` chooses, which the
-gate commands show only through their GFs, and the doubled-box check
-``same_shell_in_box`` on true and false shells)
-once per tree and prints their results as canonical JSON; a call that raises
+enumeration, slice counts, representation counts, membership,
+quasi-polynomial forms, box validation, the run-enumeration oracle's
+vector sets, which no gate command reaches, the parts ``decompose_shell``
+chooses, which the gate commands show only through their GFs, and the
+doubled-box check ``same_shell_in_box`` on true and false shells) once
+per tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
 its result.  Last it prints each tree's number of lines under
 ``src/ratcoord/`` (as ``cat src/ratcoord/*.py | wc -l`` counts them), which
@@ -90,7 +90,7 @@ from ratcoord.genfunc import (
 from ratcoord.periodic_graph import bfs_coordination, parse_periodic_graph
 from ratcoord.semilinear import (
     LinearSet, SemilinearSet, _magnitude, count_representations, decompose_shell,
-    disambiguate, enumerate_in_box, same_shell_in_box, semilinear_from_json,
+    disambiguate, enumerate_in_box, member, same_shell_in_box, semilinear_from_json,
     slice_counts, validate_decomposition,
 )
 bench = Path(sys.argv[2])
@@ -177,6 +177,17 @@ for name, l in ELIMINATED.items():
 probes["count_representations non-member (2,-2),(-2,2)"] = lambda: (
     count_representations(LinearSet((0, 0), ((2, -2), (-2, 2))), (1, -1))
 )
+# a member whose periods sum to zero has infinitely many tuples
+probes["count_representations zero-sum member"] = lambda: (
+    count_representations(LinearSet((0, 0), ((1, -1), (-1, 1))), (2, -2))
+)
+# the 4-direction lattice has no positive functional; DROPPED's parts have no
+# common one
+LATTICE = SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0), (0, 1), (0, -1))),))
+for name, s in (("lattice", LATTICE), ("DROPPED", DROPPED)):
+    probes[f"member {name}"] = lambda s=s: [
+        member(s, v) for v in itertools.product(range(-3, 4), repeat=2)
+    ]
 for net, targets in (("sql", 1), ("hcb", 2), ("pcu", 1), ("dia", 2), ("kagome", 3)):
     for target in range(1, targets + 1):
         probes[f"oracle {net} t{target}"] = lambda n=net, t=target: oracle(n, t)
