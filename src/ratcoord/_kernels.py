@@ -13,16 +13,16 @@ period moves a whole level with one shift, and the first cell axis has the
 largest place value, so a level's bits run in the lexicographic order of
 its points).  The grids are built in ``semilinear``, where every whole-set
 question is one sweep: ``disambiguate`` sweeps its input and candidate
-cones, certifies by popcount and decodes only the bases it chooses, the
-doubled-box check compares two sets' levels, and ``enumerate_in_box``
-decodes one union.  A search over partial sums gives the points of one
-linear set with their representation counts, for counting, membership of
-parts with a functional and ``validate_decomposition``; it and
-``enumerate_in_box`` share one test for a base past the box.  The public
-modules call these kernels through this module's attributes
-(``_kernels.name``), so a wrapper installed here sees every call.  All
-indices here are 0-based (the public modules use 1-based orbits/states and
-convert).
+cones (each from its base's grid index), certifies by popcount, decodes
+only the bases it chooses; the doubled-box check compares two sets'
+levels, and ``enumerate_in_box`` decodes one union.  A search over
+partial sums gives the points of one linear set with their representation
+counts, for counting, membership of parts with a functional and
+``validate_decomposition``; it and ``enumerate_in_box`` share one test for
+a base past the box.  The public modules call these kernels through this
+module's attributes (``_kernels.name``), so a wrapper installed here sees
+every call.  All indices here are 0-based (the public modules use 1-based
+orbits/states and convert).
 """
 
 from __future__ import annotations
@@ -60,10 +60,7 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
         depth * max(map(abs, axis))
         for axis in zip(*(offset for spec in neighbor_specs for _, offset in spec))
     ]
-    place, places = 1, []
-    for reach in reaches:
-        places.append(place)
-        place *= 2 * reach + 1
+    *places, place = accumulate([1, *(2 * reach + 1 for reach in reaches)], mul)
     if place * orbits > 64 * max_visited:
         raise BudgetExceeded(
             f"BFS layers would span more than {64 * max_visited} bits"
@@ -246,14 +243,14 @@ def linear_point_counts(base, periods, lo, hi, weights, max_nodes):
     return {point[:-1]: mult for point, mult in states.items()}
 
 
-def linear_points_in_box(base, periods, grid):
+def linear_points_in_box(index, periods, grid):
     """Box points of ``base + N periods``, one bitset per level of ``grid``.
 
-    ``base`` is a point of the grid's region and ``periods`` are among the
-    grid's periods.  The cone is swept up from the base's level and masked
-    to the box; nothing is decoded.
+    ``index`` is the base's (level index, bit), which the greedy search
+    holds, and ``periods`` are among the grid's periods.  The cone is swept
+    up from the base's level and masked to the box; nothing is decoded.
     """
-    k, bit = grid.index(base)
+    k, bit = index
     layers = [0] * grid.levels
     layers[k] = 1 << bit
     return grid.in_box(grid.sweep(layers, periods, k))
@@ -325,10 +322,8 @@ class BoxGrid:
             self.lows.append(min(lo[i], *coordinates) - slack)
             widths.append(max(hi[i], *coordinates) + slack + 1 - self.lows[-1])
             self.strides.append(widths[-1] + max([0] + [abs(p[i]) for p in periods]))
-        place, self.places = 1, []
-        for stride in reversed(self.strides):
-            self.places.insert(0, place)
-            place *= stride
+        *places, place = accumulate([1, *reversed(self.strides)], mul)
+        self.places = places[::-1]
         if place * self.levels > 64 * max_nodes:
             raise BudgetExceeded(
                 f"box levels would span more than {64 * max_nodes} bits"

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
-from operator import add, and_
+from operator import and_
 
 from . import _kernels
 from ._exactlinalg import _eliminate, _null_vector, integral, rank
@@ -399,16 +399,17 @@ def _popcount(levels):
     return sum(map(int.bit_count, levels))
 
 
-def _greedy_cover(grid, uncovered, subsets, radius):
+def _greedy_cover(grid, uncovered, subsets):
     """Disjoint unambiguous cones that cover the uncovered box levels exactly.
 
     The levels are walked in (level, bit) order, the order of the
     functional, then of the point.  Every period raises the level, so each
     level's uncovered bits, decoded when the walk reaches it, are the bases
     u of the chosen cones ``L(u; P)``, with P one of ``subsets``.  Every
-    accepted cone must have only uncovered points in the box
-    ``[-radius, radius]^dim``, so a subset is tried only if each of its
-    periods q has u + q outside the box or uncovered; the grid's periods
+    accepted cone must have only uncovered points in the grid's box, so a
+    subset is tried only if each of its periods q steps from u past the
+    top level, off ``grid.box`` or onto an uncovered bit (as u is in the
+    box and q rises, onto a cell of the grid's region); the grid's periods
     hold every period of a subset, and the other subsets contain an
     inadmissible point.  The admissible cone with the most box points wins,
     then the one with fewer periods, then the smaller periods: the least key
@@ -420,19 +421,15 @@ def _greedy_cover(grid, uncovered, subsets, radius):
     is swept only if it can still win: a box point ``u + sum n_j p_j`` of
     ``L(u; P)`` lies at most at the box's top level, so the cone has at
     most ``B = #{n : sum n_j rise_j <= top - level(u)}`` points, ``rise_j
-    >= 1`` the level of ``p_j``, and a subset whose ``(-B, len(P), P)``
+    >= 1`` the rise of ``p_j``, and a subset whose ``(-B, len(P), P)``
     exceeds the best key has a larger key too.  So the cover is the one
     that sweeping every subset gives.
     """
-    def is_uncovered(point):
-        k, bit = grid.index(point)
-        return uncovered[k] >> bit & 1
-
     def most_points(periods, room):
         # ways[t]: coefficient tuples whose levels add up to t
         ways = [1] + [0] * room
         for p in periods:
-            rise = grid.level(p)
+            rise = grid.moves[p][0]
             for t in range(rise, room + 1):
                 ways[t] += ways[t - rise]
         return sum(ways)
@@ -443,14 +440,13 @@ def _greedy_cover(grid, uncovered, subsets, radius):
     for base in grid.decode(uncovered):
         if len(chosen) >= 1000:
             raise DecompositionError("greedy cover exceeded 1000 parts")
-        # only a step inside the box is looked up: it is a point of the grid,
-        # whose levels run from the lowest base to the box's top
+        index = k, bit = grid.index(base)
         admissible = {
-            q for q in grid.moves
-            if max(map(abs, step := tuple(map(add, base, q)))) > radius
-            or is_uncovered(step)
+            q for q, (rise, step) in grid.moves.items()
+            if k + rise >= grid.levels or not grid.box >> bit + step & 1
+            or uncovered[k + rise] >> bit + step & 1
         }
-        room = grid.levels - 1 - grid.index(base)[0]
+        room = grid.levels - 1 - k
         # the empty subset comes last; its cone {base} always qualifies, and
         # its key (-1, 0, ()) beats every best key of one box point
         best = None
@@ -459,7 +455,7 @@ def _greedy_cover(grid, uncovered, subsets, radius):
                 continue
             if best and (-most_points(periods, room), len(periods), periods) > best[0]:
                 continue  # not even its bound beats the best key
-            cone = _kernels.linear_points_in_box(base, periods, grid)
+            cone = _kernels.linear_points_in_box(index, periods, grid)
             if list(map(and_, cone, uncovered)) == cone:
                 key = (-_popcount(cone), len(periods), periods)
                 if best is None or key < best[0]:
@@ -519,7 +515,7 @@ def disambiguate(
             return _mark_certified(SemilinearSet(parts))
 
     subsets = _independent_subsets(universe, min(dim, len(universe)))
-    return _greedy_cover(grid, uncovered, subsets, radius)
+    return _greedy_cover(grid, uncovered, subsets)
 
 
 def decompose_shell(
@@ -550,7 +546,7 @@ def decompose_shell(
     radius = max(box_radius, _magnitude(parts) + 1)
     grid, (levels,) = _swept([parts], (-radius,) * dim, (radius,) * dim, budget)
     subsets = _independent_subsets(sorted(grid.moves), dim - 1, dim - 1)
-    return _greedy_cover(grid, _shell(grid, levels), subsets, radius)
+    return _greedy_cover(grid, _shell(grid, levels), subsets)
 
 
 # ---------------------------------------------------------------------------

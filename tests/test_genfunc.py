@@ -324,6 +324,11 @@ class TestQuasiPolynomial:
             id="str_zero_coefficient",
         ),
         pytest.param(
+            lambda: repr(RationalGF((1,), (1, -1))),
+            "RationalGF(num=(1,), den=(1, -1))",
+            id="repr",
+        ),
+        pytest.param(
             lambda: setattr(RationalGF.one(), "num", (2,)),
             AttributeError("RationalGF is immutable"),
             id="immutable",

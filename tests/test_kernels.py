@@ -97,7 +97,7 @@ def _cone_points(base, periods, lo, hi, weights):
     grid = _kernels.BoxGrid([base], periods, lo, hi, weights, 10**6)
     if grid.levels < 1:  # the base lies above the box's top level
         return set()
-    return set(grid.decode(_kernels.linear_points_in_box(base, periods, grid)))
+    return set(grid.decode(_kernels.linear_points_in_box(grid.index(base), periods, grid)))
 
 
 def _swept_points(parts, lo, hi, weights, max_nodes):

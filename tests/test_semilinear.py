@@ -517,6 +517,27 @@ class TestDisambiguate:
         assert disambiguate(SemilinearSet((A2,))).certified
         assert len(grids) == 1
 
+    def test_each_base_is_indexed_once(self, monkeypatch):
+        # one index when the input's base is swept, one per chosen base: the
+        # greedy reads its steps and cones off that index, not off points
+        index, calls = _kernels.BoxGrid.index, []
+
+        def counted(grid, point):
+            calls.append(point)
+            return index(grid, point)
+
+        monkeypatch.setattr(_kernels.BoxGrid, "index", counted)
+        d = disambiguate(SemilinearSet((A2,)))
+        assert len(calls) == 1 + len(d.parts)
+
+    def test_part_cap(self):
+        # the diagonal defeats the fast path and takes the diagonal points;
+        # every other point of the block is a cone of its own
+        block = [LinearSet((i, j)) for i in range(33) for j in range(33)]
+        s = SemilinearSet((*block, LinearSet((0, 0), ((1, 1),))))
+        with pytest.raises(DecompositionError, match="greedy cover exceeded 1000 parts"):
+            disambiguate(s)
+
     def test_overlapping_independent_parts_are_split(self):
         # each part has independent periods, but both hold the origin, so
         # their popcounts add up to more than the union's

@@ -16,9 +16,11 @@ second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
 enumeration, slice counts, representation counts, membership,
 quasi-polynomial forms, box validation, the run-enumeration oracle's
 vector sets, which no gate command reaches, the parts ``decompose_shell``
-chooses, which the gate commands show only through their GFs, and the
-doubled-box check ``same_shell_in_box`` on true and false shells) once
-per tree and prints their results as canonical JSON; a call that raises
+chooses, which the gate commands show only through their GFs, the parts
+``disambiguate`` chooses (the paper's set among them, whose functional
+(1, 1) makes every axis a cell axis), and the doubled-box check
+``same_shell_in_box`` on true and false shells) once per tree and prints
+their results as canonical JSON; a call that raises
 BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
 its result.  Last it prints each tree's number of lines under
 ``src/ratcoord/`` (as ``cat src/ratcoord/*.py | wc -l`` counts them), which
@@ -126,6 +128,10 @@ def shell(net, target):  # the parts decompose_shell chooses at the pipeline's r
     parts = decompose_shell(s, _magnitude(s.parts) + 8).parts
     return [[part.base, part.periods] for part in parts]
 
+def decomposed(parts, *radius):  # the parts disambiguate chooses
+    d = disambiguate(SemilinearSet(parts), *radius)
+    return [[part.base, part.periods] for part in d.parts]
+
 def frozen(target):
     text = (bench / "inputs" / f"4off_target{target}.json").read_text(encoding="utf-8")
     return semilinear_from_json(json.loads(text))
@@ -215,6 +221,18 @@ for name in ("sql", "hcb t1", "pcu t1", "4off t1"):
         s, decompose_shell(s, box(s, 1)[1][0])
     )
     probes[f"same_shell_in_box {name} image"] = lambda s=s: same_shell(s, s)
+# the greedy on the paper's set, whose functional (1, 1) makes every axis a
+# cell axis, and with the functional (0, 1) on a period stepping past the
+# box and on the 1,000-part cap
+probes["disambiguate A2"] = lambda: decomposed((A2,))
+probes["disambiguate A2 box 8"] = lambda: decomposed((A2,), 8)
+probes["disambiguate step past the box"] = lambda: decomposed(
+    (LinearSet((1, 1), ((2, 1), (1, 1))), LinearSet((2, -1), ((-1, 2),))), 3
+)
+probes["disambiguate part cap"] = lambda: decomposed(
+    (*(LinearSet((i, j)) for i in range(33) for j in range(33)),
+     LinearSet((0, 0), ((1, 1),)))
+)
 # no positive functional: raised before a grid that budget 1 cannot hold
 probes["disambiguate no functional budget 1"] = lambda: disambiguate(
     SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0))),)), budget=1
