@@ -113,6 +113,7 @@ def _poly_str(coeffs) -> str:
     return " + ".join(terms).replace("+ -", "- ")
 
 
+@dataclass(frozen=True)
 class RationalGF:
     """Exact ratio of integer polynomials in one variable, canonical form.
 
@@ -122,14 +123,15 @@ class RationalGF:
     identical tuples).  Coefficients must be integers, as everywhere in the
     package (``_exactlinalg.integral``: 2.0 passes, 1/2 raises ValueError);
     the common factor is removed by an exact integer division by the
-    primitive gcd.
+    primitive gcd.  ``RationalGF()`` is zero.
     """
 
-    __slots__ = ("num", "den")
+    num: tuple[int, ...] = ()
+    den: tuple[int, ...] = (1,)
 
-    def __init__(self, num=(), den=(1,)):
-        num = _trim(integral(num, "coefficients"))
-        den = _trim(integral(den, "coefficients"))
+    def __post_init__(self):
+        num = _trim(integral(self.num, "coefficients"))
+        den = _trim(integral(self.den, "coefficients"))
         if not den:
             raise ZeroDivisionError("zero denominator")
         g = _pgcd(num, den)  # den itself, up to its content, when num is 0
@@ -146,17 +148,6 @@ class RationalGF:
         object.__setattr__(self, "num", tuple(x // den[0] for x in num))
         object.__setattr__(self, "den", tuple(x // den[0] for x in den))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalGF is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __add__(self, other):
         if not isinstance(other, RationalGF):
             return NotImplemented
@@ -169,17 +160,6 @@ class RationalGF:
         if self.den == (1,):
             return f"({_poly_str(self.num)})"
         return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
-
-    def __repr__(self):
-        return f"RationalGF(num={self.num!r}, den={self.den!r})"
-
-    @classmethod
-    def zero(cls):
-        return cls((), (1,))
-
-    @classmethod
-    def one(cls):
-        return cls((1,), (1,))
 
 
 def series_coeffs(q: RationalGF, n: int) -> list[int]:

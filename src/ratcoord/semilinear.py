@@ -399,23 +399,24 @@ def _popcount(levels):
     return sum(map(int.bit_count, levels))
 
 
-def _greedy_cover(grid, uncovered, subsets):
+def _greedy_cover(grid, uncovered, width):
     """Disjoint unambiguous cones that cover the uncovered box levels exactly.
 
     The levels are walked in (level, bit) order, the order of the
     functional, then of the point.  Every period raises the level, so each
     level's uncovered bits, decoded when the walk reaches it, are the bases
-    u of the chosen cones ``L(u; P)``, with P one of ``subsets``.  Every
+    u of the chosen cones ``L(u; P)``, with P one of the candidate subsets:
+    at most ``width`` of the grid's periods whose first ``width``
+    coordinates are independent (``_independent_subsets``).  Every
     accepted cone must have only uncovered points in the grid's box, so a
     subset is tried only if each of its periods q steps from u past the
     top level, off ``grid.box`` or onto an uncovered bit (as u is in the
-    box and q rises, onto a cell of the grid's region); the grid's periods
-    hold every period of a subset, and the other subsets contain an
-    inadmissible point.  The admissible cone with the most box points wins,
-    then the one with fewer periods, then the smaller periods: the least key
-    ``(-points, len(P), P)``.  Each candidate cone is swept up from u in
-    the grid, and it is admissible iff no level has a cone bit that is not
-    uncovered.  ``uncovered`` is cleared in place.
+    box and q rises, onto a cell of the grid's region); the other subsets
+    contain an inadmissible point.  The admissible cone with the most box
+    points wins, then the one with fewer periods, then the smaller periods:
+    the least key ``(-points, len(P), P)``.  Each candidate cone is swept
+    up from u in the grid, and it is admissible iff no level has a cone bit
+    that is not uncovered.  ``uncovered`` is cleared in place.
 
     The subsets come largest first.  Once a cone is admissible, a subset
     is swept only if it can still win: a box point ``u + sum n_j p_j`` of
@@ -434,6 +435,7 @@ def _greedy_cover(grid, uncovered, subsets):
                 ways[t] += ways[t - rise]
         return sum(ways)
 
+    subsets = _independent_subsets(sorted(grid.moves), width, width)
     chosen: list[LinearSet] = []
     # decode reads a level of ``uncovered`` only when the walk reaches it,
     # so the cones cleared in place below are never decoded
@@ -514,8 +516,7 @@ def disambiguate(
         if sum(map(_popcount, sweeps)) == _popcount(uncovered):
             return _mark_certified(SemilinearSet(parts))
 
-    subsets = _independent_subsets(universe, min(dim, len(universe)))
-    return _greedy_cover(grid, uncovered, subsets)
+    return _greedy_cover(grid, uncovered, dim)
 
 
 def decompose_shell(
@@ -545,8 +546,7 @@ def decompose_shell(
     dim = parts[0].dim
     radius = max(box_radius, _magnitude(parts) + 1)
     grid, (levels,) = _swept([parts], (-radius,) * dim, (radius,) * dim, budget)
-    subsets = _independent_subsets(sorted(grid.moves), dim - 1, dim - 1)
-    return _greedy_cover(grid, _shell(grid, levels), subsets)
+    return _greedy_cover(grid, _shell(grid, levels), dim - 1)
 
 
 # ---------------------------------------------------------------------------

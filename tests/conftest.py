@@ -231,7 +231,7 @@ def small_nfas():
 # rational generating functions with denominator degree <= 6
 def _gf_corpus():
     return [
-        RationalGF.one(),
+        RationalGF((1,)),
         RationalGF((1,), (1, -1)),
         RationalGF((1,), (1, 0, -1)),
         RationalGF((1, 2, 1), (1, -2, 1)),

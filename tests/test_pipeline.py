@@ -64,8 +64,8 @@ class TestPipeline:
 
     def test_edgeless_both(self, edgeless):
         report = pipeline_coordination_gf(edgeless, 1, "both", 10)
-        assert report.gf_fit == RationalGF.one()
-        assert report.gf_symbolic == RationalGF.one()
+        assert report.gf_fit == RationalGF((1,))
+        assert report.gf_symbolic == RationalGF((1,))
         assert report.all_ok()
 
     def test_symbolic_only(self, square):
@@ -749,7 +749,7 @@ class TestOriginsAndDisconnected:
         assert connected.gf_symbolic == RationalGF((1, 1), (1, -1))
         isolated = cross_verify(g, 2, 10)
         assert isolated.all_ok()
-        assert isolated.gf_symbolic == RationalGF.one()
+        assert isolated.gf_symbolic == RationalGF((1,))
 
     def test_out_of_range_origin_exits_two(self, graph_files, capsys):
         code = main(["bfs", graph_files["square"], "--origin", "7", "--depth", "3"])

@@ -14,13 +14,14 @@ graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2) and the
 3-orbit net of ROADMAP item 7 are written to a temporary directory.  A
 second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
 enumeration, slice counts, representation counts, membership,
-quasi-polynomial forms, box validation, the run-enumeration oracle's
-vector sets, which no gate command reaches, the parts ``decompose_shell``
-chooses, which the gate commands show only through their GFs, the parts
-``disambiguate`` chooses (the paper's set among them, whose functional
-(1, 1) makes every axis a cell axis), and the doubled-box check
-``same_shell_in_box`` on true and false shells) once per tree and prints
-their results as canonical JSON; a call that raises
+quasi-polynomial forms, the fit's ``RationalGF`` as callers read it
+(repr, str, hash, JSON and equality), box validation, the
+run-enumeration oracle's vector sets, which no gate command reaches, the
+parts ``decompose_shell`` chooses, which the gate commands show only
+through their GFs, the parts ``disambiguate`` chooses (the paper's set
+among them, whose functional (1, 1) makes every axis a cell axis), and the
+doubled-box check ``same_shell_in_box`` on true and false shells) once per
+tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
 its result.  Last it prints each tree's number of lines under
 ``src/ratcoord/`` (as ``cat src/ratcoord/*.py | wc -l`` counts them), which
@@ -87,7 +88,7 @@ from ratcoord.automaton import (
 )
 from ratcoord.errors import BudgetExceeded, DecompositionError
 from ratcoord.genfunc import (
-    NotQuasiPolynomialError, RationalGF, fit_rational, to_quasi_polynomial,
+    NotQuasiPolynomialError, RationalGF, fit_rational, gf_to_json, to_quasi_polynomial,
 )
 from ratcoord.periodic_graph import bfs_coordination, parse_periodic_graph
 from ratcoord.semilinear import (
@@ -159,6 +160,9 @@ def fitted(path):  # the fit path's GF of origin 1 at depth 30
     values = bfs_coordination(g, 1, 30).values
     return fit_rational(values, (len(values) - 5) // 2, 5)
 
+def value(q):  # what callers read off a RationalGF
+    return [repr(q), str(q), hash(q), gf_to_json(q), q == RationalGF(q.num, q.den)]
+
 def oracle(net, target, *budget):  # the oracle's vectors at length 8, sorted
     g = parse_periodic_graph(NETS[net].read_text(encoding="utf-8"))
     return sorted(run_parikh_oracle(build_coordination_nfa(g, 1, target), 8, *budget))
@@ -204,6 +208,7 @@ probes["oracle transitionless"] = lambda: sorted(
 )
 for name, path in NETS.items():
     probes[f"quasi-polynomial {name}"] = lambda path=path: quasi(fitted(path))
+    probes[f"RationalGF {name}"] = lambda path=path: value(fitted(path))
     orbits = parse_periodic_graph(path.read_text(encoding="utf-8")).num_orbits
     for target in range(1, orbits + 1):  # every target, from origin 1
         probes[f"shell {name} t{target}"] = lambda n=name, t=target: shell(n, t)
