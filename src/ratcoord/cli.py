@@ -34,7 +34,6 @@ from .genfunc import (
 )
 from .periodic_graph import (
     CoordinationSequence,
-    ParseError,
     PeriodicGraph,
     bfs_coordination,
     cumulative_counts,
@@ -92,14 +91,6 @@ class PipelineReport:
         }
 
 
-def _checked_shell(image, dim, radius):
-    """The image's shell decomposition certified on the box of ``radius``,
-    or None if it differs from the image's shell on the doubled box."""
-    shell = decompose_shell(image, radius, SYMBOLIC_BUDGET)
-    wide = (-2 * radius,) * dim, (2 * radius,) * dim
-    return shell if same_shell_in_box(image, shell, *wide, SYMBOLIC_BUDGET) else None
-
-
 def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
     """Coordination-sequence generating function via the automaton route.
 
@@ -118,14 +109,16 @@ def symbolic_coordination_gf(g: PeriodicGraph, origin_orbit: int):
     for target in range(1, g.num_orbits + 1):
         nfa = build_coordination_nfa(g, origin_orbit, target)
         image = parikh_image(nfa)
-        radius = _magnitude(image.parts) + DISAMBIG_MARGIN
-        shell = _checked_shell(image, dim, radius) or _checked_shell(
-            image, dim, 2 * radius
-        )
-        if shell is None:
+        r = _magnitude(image.parts) + DISAMBIG_MARGIN
+        for radius in (r, 2 * r):
+            shell = decompose_shell(image, radius, SYMBOLIC_BUDGET)
+            wide = (-2 * radius,) * dim, (2 * radius,) * dim
+            if same_shell_in_box(image, shell, *wide, SYMBOLIC_BUDGET):
+                break
+        else:
             raise DecompositionError(
                 f"shell decomposition for target orbit {target} fails on the "
-                f"doubled box at radius {2 * radius} and again at {4 * radius}"
+                f"doubled box at radius {2 * r} and again at {4 * r}"
             )
         parts += shell.parts
     return gf_unambiguous_sum(parts, dim)
@@ -333,16 +326,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bfs = sub.add_parser("bfs", help="coordination sequence by cover BFS")
-    p_bfs.add_argument("file")
-    p_bfs.add_argument("--origin", type=int, required=True)
+    graph = argparse.ArgumentParser(add_help=False)  # what every graph command reads
+    graph.add_argument("file")
+    graph.add_argument("--origin", type=int, required=True)
+
+    p_bfs = sub.add_parser("bfs", parents=[graph], help="coordination sequence by cover BFS")
     p_bfs.add_argument("--depth", type=int, required=True)
     p_bfs.add_argument("--json", action="store_true")
     p_bfs.set_defaults(func=_cmd_bfs)
 
-    p_gf = sub.add_parser("gf", help="generating function of the sequence")
-    p_gf.add_argument("file")
-    p_gf.add_argument("--origin", type=int, required=True)
+    p_gf = sub.add_parser("gf", parents=[graph], help="generating function of the sequence")
     p_gf.add_argument(
         "--method", choices=("symbolic", "fit", "both"), default="both"
     )
@@ -351,10 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gf.set_defaults(func=_cmd_gf)
 
     p_verify = sub.add_parser(
-        "verify", help="run both pipelines plus the enumeration oracle"
+        "verify", parents=[graph], help="run both pipelines plus the enumeration oracle"
     )
-    p_verify.add_argument("file")
-    p_verify.add_argument("--origin", type=int, required=True)
     p_verify.add_argument("--depth", type=int, required=True)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
@@ -376,7 +367,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and JSONDecodeError too
         print(f"ratcoord: error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, DecompositionError) as exc:

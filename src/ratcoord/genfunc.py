@@ -17,6 +17,9 @@ from fractions import Fraction
 from ._exactlinalg import _eliminate, _null_vector, integral
 from .semilinear import LinearSet
 
+# the largest period to_quasi_polynomial looks for in a denominator
+MAX_PERIOD = 360
+
 
 class NotQuasiPolynomialError(ValueError):
     """The denominator has a pole that is not a root of unity."""
@@ -264,10 +267,7 @@ def fit_rational(prefix, max_order: int, verify_window: int) -> RationalGF:
             continue
         kernel = _null_vector(rows, pivots, t)
         den = kernel[t:] + kernel[:t]
-        num = [
-            sum(den[j] * prefix[k - j] for j in range(min(k, t) + 1))
-            for k in range(start)
-        ]
+        num = _pmul(den, prefix[:start])[:start]  # den times the series, below start
         try:
             candidate = RationalGF(num, den)
         except ValueError:
@@ -323,11 +323,11 @@ def _denominator_period(den, cap):
     return period if len(rest) == 1 and period <= cap else None
 
 
-def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial:
+def to_quasi_polynomial(q: RationalGF) -> QuasiPolynomial:
     """Closed quasi-polynomial form of the coefficient sequence.
 
     Requires every denominator root to be a root of unity, verified by
-    finding the smallest P <= max_period with den | (1 - z^P)^deg(den);
+    finding the smallest P <= MAX_PERIOD with den | (1 - z^P)^deg(den);
     otherwise raises NotQuasiPolynomialError.  Residue polynomials are
     interpolated by fraction-free elimination of the integer rows
     ``[k^0, ..., k^D, c_k]`` and re-verified against the series.
@@ -338,11 +338,11 @@ def to_quasi_polynomial(q: RationalGF, max_period: int = 360) -> QuasiPolynomial
     if deg_den == 0:
         coeffs = series_coeffs(q, max(prefix_len, 1))
         return QuasiPolynomial(1, ((),), tuple(coeffs[:prefix_len]))
-    period = _denominator_period(q.den, max_period)
+    period = _denominator_period(q.den, MAX_PERIOD)
     if period is None:
         raise NotQuasiPolynomialError(
             f"denominator {q.den} has a pole that is no root of unity of "
-            f"order <= {max_period}"
+            f"order <= {MAX_PERIOD}"
         )
     points = deg_den + 1
     extra = 2

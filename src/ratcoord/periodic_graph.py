@@ -79,9 +79,7 @@ class PeriodicGraph:
         for edge in self.edge_orbits:
             if len(edge.offset) != self.dim:
                 raise ValueError(f"offset arity mismatch in {edge}")
-            if not (1 <= edge.source <= self.num_orbits):
-                raise ValueError(f"orbit index out of range in {edge}")
-            if not (1 <= edge.target <= self.num_orbits):
+            if not all(1 <= v <= self.num_orbits for v in (edge.source, edge.target)):
                 raise ValueError(f"orbit index out of range in {edge}")
             if canonical_edge_orbit(*edge) != edge:
                 raise ValueError(f"edge orbit not in canonical orientation: {edge}")
@@ -121,59 +119,42 @@ def parse_periodic_graph(text: str) -> PeriodicGraph:
     with 1-based orbit indices.  Edge lines may appear in any order;
     orientation-flipped duplicates of one orbit are rejected.
     """
-    dim = None
-    num_orbits = None
-    edges: list[EdgeOrbit] = []
-    seen: dict[EdgeOrbit, int] = {}
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        keyword = tokens[0]
-        if dim is None:
-            if keyword != "dim" or len(tokens) != 2:
-                raise ParseError(line_no, "expected 'dim <d>'")
-            dim = _parse_int(line_no, tokens[1])
-            if dim < 1:
-                raise ParseError(line_no, "dim must be positive")
-        elif num_orbits is None:
-            if keyword != "vertices" or len(tokens) != 2:
-                raise ParseError(line_no, "expected 'vertices <m>'")
-            num_orbits = _parse_int(line_no, tokens[1])
-            if num_orbits < 1:
-                raise ParseError(line_no, "vertices must be positive")
-        else:
-            if keyword != "edge":
-                raise ParseError(line_no, f"unknown directive {keyword!r}")
-            if len(tokens) != 3 + dim:
-                raise ParseError(
-                    line_no,
-                    f"edge needs 2 orbit indices and {dim} offset entries",
-                )
-            s = _parse_int(line_no, tokens[1])
-            t = _parse_int(line_no, tokens[2])
-            offset = tuple(_parse_int(line_no, tok) for tok in tokens[3:])
-            if not (1 <= s <= num_orbits and 1 <= t <= num_orbits):
-                raise ParseError(line_no, f"orbit index out of range 1..{num_orbits}")
-            try:
-                edge = canonical_edge_orbit(s, t, offset)
-            except ValueError:
-                raise ParseError(line_no, "self-edge with zero offset") from None
-            if edge in seen:
-                raise ParseError(
-                    line_no,
-                    f"duplicate of edge orbit first given on line {seen[edge]}",
-                )
-            seen[edge] = line_no
-            edges.append(edge)
-    if dim is None:
-        raise ParseError(last_line + 1, "missing 'dim' line")
-    if num_orbits is None:
-        raise ParseError(last_line + 1, "missing 'vertices' line")
-    return PeriodicGraph(dim, num_orbits, tuple(edges))
+    lines = [  # (line number, tokens) of each line with text outside comments
+        (line_no, tokens) for line_no, line in enumerate(text.splitlines(), start=1)
+        if (tokens := line.split("#", 1)[0].split())
+    ]
+    header = []
+    for i, (keyword, arg) in enumerate((("dim", "<d>"), ("vertices", "<m>"))):
+        if i == len(lines):
+            raise ParseError(len(text.splitlines()) + 1, f"missing {keyword!r} line")
+        line_no, tokens = lines[i]
+        if tokens[0] != keyword or len(tokens) != 2:
+            raise ParseError(line_no, f"expected '{keyword} {arg}'")
+        header.append(_parse_int(line_no, tokens[1]))
+        if header[-1] < 1:
+            raise ParseError(line_no, f"{keyword} must be positive")
+    dim, num_orbits = header
+    seen: dict[EdgeOrbit, int] = {}  # each edge orbit, in order, with its line
+    for line_no, tokens in lines[2:]:
+        if tokens[0] != "edge":
+            raise ParseError(line_no, f"unknown directive {tokens[0]!r}")
+        if len(tokens) != 3 + dim:
+            raise ParseError(
+                line_no, f"edge needs 2 orbit indices and {dim} offset entries"
+            )
+        s, t, *offset = (_parse_int(line_no, tok) for tok in tokens[1:])
+        if not (1 <= s <= num_orbits and 1 <= t <= num_orbits):
+            raise ParseError(line_no, f"orbit index out of range 1..{num_orbits}")
+        try:
+            edge = canonical_edge_orbit(s, t, offset)
+        except ValueError:
+            raise ParseError(line_no, "self-edge with zero offset") from None
+        if edge in seen:
+            raise ParseError(
+                line_no, f"duplicate of edge orbit first given on line {seen[edge]}"
+            )
+        seen[edge] = line_no
+    return PeriodicGraph(dim, num_orbits, tuple(seen))
 
 
 def _parse_int(line_no: int, token: str) -> int:

@@ -377,13 +377,13 @@ def _shell(grid, levels):
     return [level & ~below for level, below in zip(levels, [0, *levels])]
 
 
-def _independent_subsets(universe, max_size, width=None):
-    """Subsets of at most ``max_size`` periods whose first ``width``
-    coordinates (all by default) are linearly independent: the largest
-    first, lexicographic within a size, and the empty subset last.  The
-    5,001st subset raises DecompositionError as soon as it is found."""
+def _independent_subsets(universe, width):
+    """Subsets of at most ``width`` periods whose first ``width`` coordinates
+    are linearly independent: the largest first, lexicographic within a
+    size, and the empty subset last.  The 5,001st subset raises
+    DecompositionError as soon as it is found."""
     subsets = []
-    for size in range(max_size, 0, -1):
+    for size in range(width, 0, -1):
         for combo in itertools.combinations(universe, size):
             if rank([p[:width] for p in combo]) == size:
                 if len(subsets) == 4999:  # with the empty subset, 5,001
@@ -435,7 +435,7 @@ def _greedy_cover(grid, uncovered, width):
                 ways[t] += ways[t - rise]
         return sum(ways)
 
-    subsets = _independent_subsets(sorted(grid.moves), width, width)
+    subsets = _independent_subsets(sorted(grid.moves), width)
     chosen: list[LinearSet] = []
     # decode reads a level of ``uncovered`` only when the walk reaches it,
     # so the cones cleared in place below are never decoded

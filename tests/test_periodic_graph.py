@@ -65,6 +65,11 @@ class TestParse:
             ("dim 0\nvertices 1", 1, "positive"),
             ("dim 2", 2, "missing 'vertices'"),
             ("", 1, "missing 'dim'"),
+            # the header is read by position among the lines left by comments
+            ("# only\n\n# comments\n", 4, "missing 'dim'"),
+            ("dim 2\n# c\n\n", 4, "missing 'vertices'"),
+            ("dim 2\nedge 1 1 1 0", 2, "expected 'vertices <m>'"),
+            ("dim 2\nvertices 1\n\n# c\nedge 1 1 0 0", 5, "self-edge"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):

@@ -419,6 +419,20 @@ class TestCli:
         assert first.stdout == second.stdout
         assert first.stdout.strip()
 
+    @pytest.mark.parametrize("command", ["bfs", "gf", "verify"])
+    def test_missing_origin_exit_two(self, graph_files, capsys, command):
+        # argparse exits 2 itself: every graph command requires --origin
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, graph_files["square"], "--depth", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ratcoord {command} [-h] --origin ORIGIN")
+        assert err.endswith("error: the following arguments are required: --origin\n")
+
+    def test_origin_before_the_file(self, graph_files, capsys):
+        assert main(["bfs", "--origin", "1", graph_files["square"], "--depth", "3"]) == 0
+        assert capsys.readouterr().out == "1 4 8 12\n"
+
     def test_python_dash_m_exit_codes(self, graph_files, tmp_path, cli_env):
         def run(path, *options):
             cmd = [sys.executable, "-m", "ratcoord", "bfs", path, *options]
@@ -426,8 +440,6 @@ class TestCli:
 
         done = run(graph_files["square"], "--origin", "1", "--depth", "3")
         assert (done.returncode, done.stdout) == (0, "1 4 8 12\n")
-        # argparse exits 2 itself: --origin is required
-        assert run(graph_files["square"], "--depth", "3").returncode == 2
         # main returns 2 for an unreadable file; only sys.exit passes it on
         done = run(str(tmp_path / "missing.graph"), "--origin", "1", "--depth", "3")
         assert (done.returncode, done.stdout) == (2, "")

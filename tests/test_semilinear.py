@@ -705,7 +705,7 @@ def _reference_cover(s, radius):
         if base not in uncovered:
             continue
         cones = []
-        for periods in _independent_subsets(universe, min(dim, len(universe))):
+        for periods in _independent_subsets(universe, dim):
             cone = set(_kernels.linear_point_counts(base, periods, lo, hi, w, 10**6))
             if cone <= uncovered:
                 cones.append(((-len(cone), len(periods), periods), cone))

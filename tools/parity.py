@@ -10,8 +10,11 @@ number of calls of ``_kernels.linear_points_in_box`` (the greedy's
 candidates) in each tree, and the wall seconds of each process.  The nets
 and frozen images are read from NEW_TREE; the kagome graph, a net whose
 second orbit the first cannot reach (an empty Parikh image), the random
-graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2) and the
-3-orbit net of ROADMAP item 7 are written to a temporary directory.  A
+graph G1, the 2 x 1 supercell of hcb (both of ROADMAP item 2), the
+3-orbit net of ROADMAP item 7 and five malformed graph files are written
+to a temporary directory.  The gate commands open with ``--help`` of
+``bfs``, ``gf`` and ``verify`` and with ``bfs`` on each malformed file,
+whose error message and exit code 2 are compared like any output.  A
 second driver then runs a fixed list of library calls (``LIBRARY_DRIVER``:
 enumeration, slice counts, representation counts, membership,
 quasi-polynomial forms, the fit's ``RationalGF`` as callers read it
@@ -54,6 +57,14 @@ THREE_ORBIT = (
     "dim 3\nvertices 3\nedge 1 2 0 0 0\nedge 1 2 1 0 0\nedge 2 3 0 0 0\n"
     "edge 2 3 0 1 0\nedge 3 1 0 0 0\nedge 3 1 0 0 1\n"
 )
+# malformed graph files, each rejected by the parser with its line number
+MALFORMED = {
+    "missing vertices": "# header\ndim 2\n\n",
+    "edge before vertices": "dim 2\nedge 1 1 1 0\nvertices 1\n",
+    "flipped duplicate": "dim 2\nvertices 2\nedge 1 2 1 0\n# again\nedge 2 1 -1 0\n",
+    "bad integer": "dim 2\nvertices 1\nedge 1 1 1 0x\n",
+    "comments only": "# no\n\n# header\n",
+}
 
 # argv[1]: the tree's src directory; argv[2]: file for the call count;
 # the rest is the command line
@@ -252,10 +263,13 @@ print(json.dumps(results, sort_keys=True, separators=(",", ":")))
 """
 
 
-def gate_commands(nets, inputs, kagome, unreachable, extra):
+def gate_commands(nets, inputs, kagome, unreachable, extra, malformed):
     """(label, argv) of every gate command; ``extra`` is a list of
-    (path, name, origins) verified after the others."""
-    commands = []
+    (path, name, origins) verified after the others, and ``malformed`` a
+    list of (path, name) of graph files that ``bfs`` must reject."""
+    commands = [(f"{name} --help", [name, "--help"]) for name in ("bfs", "gf", "verify")]
+    for path, name in malformed:
+        commands.append((f"bfs {name}", ["bfs", str(path), "--origin", "1", "--depth", "3"]))
     verified = [(nets / f"{name}.graph", name, origins)
                 for name, origins in (("sql", 1), ("hcb", 2), ("hxl", 1), ("pcu", 1))]
     for path, name, origins in verified + [(unreachable, "unreachable", 2)]:
@@ -349,9 +363,14 @@ def main() -> int:
             path = scratch / f"{name}.graph"
             path.write_text(text, encoding="utf-8")
             extra.append((path, name, origins))
+        malformed = []
+        for i, (name, text) in enumerate(MALFORMED.items()):
+            path = scratch / f"malformed{i}.graph"
+            path.write_text(text, encoding="utf-8")
+            malformed.append((path, name))
         commands = gate_commands(
             new / "ratbench" / "nets", new / "ratbench" / "inputs", kagome,
-            unreachable, extra,
+            unreachable, extra, malformed,
         )
         print(f"{'command':<26} {'result':<28} {'calls old/new':>15} {'wall s old/new':>15}")
         for label, command in commands:
