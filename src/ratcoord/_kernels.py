@@ -7,7 +7,10 @@ keys on (state, vector) alone.  Both keep the first, shortest run to a key,
 which loses no continuation, and count keys against their budget.  Cover
 BFS and the oracle's kernel are word-parallel: a layer is one integer per
 orbit or state, a bitset over the cells or vectors in reach, and an edge or
-transition moves a whole layer with one shift.  Box enumeration sweeps a
+transition moves a whole layer with one shift.  Cover BFS sizes its box by
+the walks of at most ``depth`` edges, holds each layer above its own floor
+per orbit, halves the index where orbit colours fix the parity of a layer's
+cells, and budgets held vertices and box span.  Box enumeration sweeps a
 :class:`BoxGrid` of the same kind (a level per value of a functional, a
 period moves a whole level with one shift, and the first cell axis has the
 largest place value, so a level's bits run in the lexicographic order of
@@ -40,27 +43,47 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
     pairs with both traversal directions already expanded.  Returns the list
     ``[c_0, ..., c_depth]`` of vertices at each exact distance from
     ``(origin_orbit, 0)``.  A layer is one integer per orbit, a bitset over
-    cells: axis i has reach ``r_i = depth * max |offset_i|`` (no vertex
-    within ``depth`` steps lies further out) and place value
-    ``prod_{j<i} (2 r_j + 1)``, and cell c is the one whose mixed-radix
-    index is c.  An edge then moves a whole layer by a constant step; since
-    no coordinate within ``depth`` steps leaves its reach, no step carries
-    one axis into the next.  With S the largest |step|, layer k lies within
-    k * S of the origin's index, so bit j of its integer is cell
-    ``origin - k * S + j``: each integer holds only the 2kS + 1 cells layer
-    k can span, and a move into layer k + 1 is a left shift by step + S.
-    In an undirected graph layer k + 1 is the neighbourhood of layer k
-    minus layers k and k - 1, so only three layers are held; more than
-    ``max_visited`` held vertices raise BudgetExceeded.  So does a span of
-    more than ``64 * max_visited`` bits over all orbits, before any layer
-    is built: a layer then costs at most 8 bytes per budgeted vertex.
+    the cells of a box, and an edge moves a whole layer with one shift.
+    Walk extents: axis i of the box reaches ``r_i``, the largest coordinate
+    i over walks of at most ``depth`` edges in the quotient from any orbit
+    (one max-plus pass; a reversed walk negates its sum, so ``-r_i`` is the
+    least), and has place value ``prod_{j<i} (2 r_j + 1)``.  Cell c has the
+    mixed-radix index of c, so an edge steps every index by a constant.
+    Parity: if the orbits of the origin's component have colours f, 0 at
+    the origin, with ``step + f(s) + f(t)`` odd on every edge from s to t,
+    every cell x of layer k of orbit t has ``x - k - f(t)`` even.  Floors:
+    layer k of orbit t is held above its own floor ``F_k(t)``, where ``F_0``
+    is f (0 off the component) and ``F_{k+1}(t)`` is the least of
+    ``F_k(t) - 1`` (an idle step) and ``F_k(s) + step`` over the edges into
+    t (one min-plus step per layer), so every move and every removal is a
+    left shift.  With colours, ``F_k(t) - k - f(t)`` is even too: bit
+    ``(x - F_k(t)) / 2`` holds cell x, and layer k + 1 meets only layer
+    k - 1.  Without, bit ``x - F_k(t)`` does.  In an undirected graph layer
+    k + 1 is the neighbourhood of layer k minus layers k and k - 1, so only
+    three layers are held; more than ``max_visited`` held vertices raise
+    BudgetExceeded.  So does a box of more than ``64 * max_visited`` cells
+    over all orbits, before any layer is built: a layer then costs at most
+    8 bytes per budgeted vertex.
     """
     orbits = len(neighbor_specs)
-    reaches = [
-        depth * max(map(abs, axis))
-        for axis in zip(*(offset for spec in neighbor_specs for _, offset in spec))
+    dim = max((len(offset) for spec in neighbor_specs for _, offset in spec), default=0)
+    # (source, target, coordinate) of each edge on each axis, flat over
+    # (orbit, axis); a self-loop that does not rise never beats an idle step
+    rises = [
+        (s * dim + i, t * dim + i, x)
+        for s, spec in enumerate(neighbor_specs) for t, offset in spec
+        for i, x in enumerate(offset) if x > 0 or s != t
     ]
-    *places, place = accumulate([1, *(2 * reach + 1 for reach in reaches)], mul)
+    reach = [0] * orbits * dim
+    for _ in range(depth):
+        longer = reach[:]
+        for a, b, x in rises:
+            if reach[a] + x > longer[b]:
+                longer[b] = reach[a] + x
+        reach = longer
+    *places, place = accumulate(
+        [1, *(2 * max(reach[i::dim]) + 1 for i in range(dim))], mul
+    )
     if place * orbits > 64 * max_visited:
         raise BudgetExceeded(
             f"BFS layers would span more than {64 * max_visited} bits"
@@ -69,23 +92,36 @@ def bfs_layer_counts(neighbor_specs, origin_orbit, depth, max_visited):
         [(target, sum(map(mul, offset, places))) for target, offset in spec]
         for spec in neighbor_specs
     ]
-    max_step = max((abs(step) for spec in steps for _, step in spec), default=0)
-    shifts = [[(target, step + max_step) for target, step in spec] for spec in steps]
-    previous = [0] * orbits
-    current = [0] * orbits
+    colour, halve = [None] * orbits, 1
+    colour[origin_orbit] = 0
+    component = [origin_orbit]
+    for s in component:
+        for t, step in steps[s]:
+            if colour[t] is None:
+                colour[t] = (colour[s] + step + 1) % 2
+                component.append(t)
+            halve &= colour[s] + step + colour[t]
+    previous, current = [0] * orbits, [0] * orbits
     current[origin_orbit] = 1
+    below = low = [c or 0 for c in colour]  # the floors of layers k - 1 and k
     counts = [1]
     for _ in range(depth):
-        # layers k and k - 1 in the frame of layer k + 1, the bits not new
-        seen = [(c | p << max_step) << max_step for c, p in zip(current, previous)]
-        previous, nxt = current, list(seen)
-        for layer, spec in zip(current, shifts):
-            for target, shift in spec:
-                nxt[target] |= layer << shift
-        for i, s in enumerate(seen):
-            nxt[i] ^= s
-        current = nxt
-        size = sum(n.bit_count() for n in current)
+        layers, floors = [], []
+        for t, spec in enumerate(steps):
+            floor = low[t] - 1
+            for s, step in spec:  # the edges into t reverse those out of it
+                if low[s] - step < floor:
+                    floor = low[s] - step
+            seen = previous[t] << (below[t] - floor >> halve)
+            if not halve:
+                seen |= current[t] << low[t] - floor
+            layer = seen
+            for s, step in spec:
+                layer |= current[s] << (low[s] - step - floor >> halve)
+            layers.append(layer ^ seen)
+            floors.append(floor)
+        previous, current, below, low = current, layers, low, floors
+        size = sum(map(int.bit_count, current))
         if sum(counts[-2:]) + size > max_visited:
             raise BudgetExceeded(f"BFS held more than {max_visited} cover vertices")
         counts.append(size)

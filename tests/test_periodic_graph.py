@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from ratcoord import (
 from .conftest import (
     BCU_TEXT,
     DIA_TEXT,
+    HONEYCOMB_TEXT,
     PCU_TEXT,
     SQUARE_TEXT,
     assert_outcome,
@@ -201,12 +203,23 @@ class TestBfs:
 
     def test_budget_bounds_held_layers_not_ball(self):
         # the ball to depth 60 holds 295,361 vertices, its last three shells
-        # 41,786; the layers span 121**3 = 1,771,561 bits, within both budgets
+        # 41,786; the walk-extent box spans 121**3 = 1,771,561 cells, within
+        # both budgets, and parity halving holds layer 60 in 60 * 121**2 + 1
+        # = 878,461 bits
         pcu = parse_periodic_graph(PCU_TEXT)
         seq = bfs_coordination(pcu, 1, 60, max_visited=41_786)
         assert seq.values[1:] == tuple(4 * k * k + 2 for k in range(1, 61))
         with pytest.raises(BudgetExceeded, match="held more than 41785 "):
             bfs_coordination(pcu, 1, 60, max_visited=41_785)
+
+    def test_budget_bounds_walk_extent_box(self):
+        # dia's walks alternate orbits, so the box is 61 cells per axis, and
+        # 2 * 61**3 = 453,962 fit 64 * 26,117 bits; the last three shells hold
+        # 8,412 + 8,704 + 9,002 = 26,118 vertices
+        dia = parse_periodic_graph(DIA_TEXT)
+        assert bfs_coordination(dia, 1, 60, max_visited=26_118).values[-1] == 9_002
+        with pytest.raises(BudgetExceeded, match="held more than 26117 "):
+            bfs_coordination(dia, 1, 60, max_visited=26_117)
 
     def test_budget_bounds_layer_span(self):
         # few vertices, but offsets of 50 make the layers span 3001**2 bits
@@ -310,6 +323,56 @@ def _plain_bfs(g, start, depth):
     """Layer sizes of the reference BFS from ``start``."""
     layers = Counter(cover_distances(g, start, depth).values())
     return tuple(layers[d] for d in range(depth + 1))
+
+
+# one net per layout regime of the cover BFS: parity-halved (pcu, sql),
+# orbit-alternating (dia, hcb), an odd cycle (hxl), steps that are all even,
+# an orbit the origin cannot reach, and depths 0 and 1
+HXL_TEXT = "dim 2\nvertices 1\nedge 1 1 1 0\nedge 1 1 0 1\nedge 1 1 1 1\n"
+ALL_EVEN_TEXT = "dim 2\nvertices 3\nedge 3 3 0 2\nedge 3 3 2 -2\n"
+UNREACHED_TEXT = "dim 2\nvertices 2\nedge 1 1 1 0\nedge 2 2 2 1\n"
+REGIMES = [
+    ("pcu", PCU_TEXT, 1, 8),
+    ("sql", SQUARE_TEXT, 1, 12),
+    ("dia 1", DIA_TEXT, 1, 8),
+    ("dia 2", DIA_TEXT, 2, 8),
+    ("hcb 2", HONEYCOMB_TEXT, 2, 12),
+    ("hxl", HXL_TEXT, 1, 12),
+    ("all even from 3", ALL_EVEN_TEXT, 3, 10),
+    ("unreached orbit", UNREACHED_TEXT, 1, 10),
+    ("pcu depth 0", PCU_TEXT, 1, 0),
+    ("dia depth 1", DIA_TEXT, 2, 1),
+]
+
+
+class TestLayoutDifferential:
+    @pytest.mark.parametrize(
+        "text,origin,depth",
+        [case[1:] for case in REGIMES],
+        ids=[case[0] for case in REGIMES],
+    )
+    def test_regimes_match_plain_bfs(self, text, origin, depth):
+        g = parse_periodic_graph(text)
+        start = CoverVertex(origin, (0,) * g.dim)
+        assert bfs_coordination(g, origin, depth).values == _plain_bfs(g, start, depth)
+
+    def test_random_quotients_match_plain_bfs(self):
+        rng = random.Random(20_261_022)
+        for _ in range(600):
+            dim, orbits = rng.randint(1, 4), rng.randint(1, 3)
+            edges = set()
+            for _ in range(rng.randint(0, 4)):
+                s, t = rng.randint(1, orbits), rng.randint(1, orbits)
+                offset = tuple(rng.randint(-2, 2) for _ in range(dim))
+                if s != t or any(offset):
+                    edges.add(canonical_edge_orbit(s, t, offset))
+            g = PeriodicGraph(dim, orbits, tuple(sorted(edges)))
+            depth = rng.randint(0, 8 - dim)
+            for origin in range(1, orbits + 1):
+                start = CoverVertex(origin, (0,) * dim)
+                assert bfs_coordination(g, origin, depth).values == _plain_bfs(
+                    g, start, depth
+                ), (g, origin, depth)
 
 
 class TestProperties:

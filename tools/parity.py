@@ -22,8 +22,11 @@ quasi-polynomial forms, the fit's ``RationalGF`` as callers read it
 run-enumeration oracle's vector sets, which no gate command reaches, the
 parts ``decompose_shell`` chooses, which the gate commands show only
 through their GFs, the parts ``disambiguate`` chooses (the paper's set
-among them, whose functional (1, 1) makes every axis a cell axis), and the
-doubled-box check ``same_shell_in_box`` on true and false shells) once per
+among them, whose functional (1, 1) makes every axis a cell axis), the
+doubled-box check ``same_shell_in_box`` on true and false shells, and
+cover BFS at depth 20 from every origin of nets in layouts no net file
+holds: pcu4, dia4, diamond's 8-orbit conventional cell, all of ROADMAP
+item 7, and a net whose steps are all even) once per
 tree and prints their results as canonical JSON; a call that raises
 BudgetExceeded, DecompositionError or NotQuasiPolynomialError has that as
 its result.  Last it prints each tree's number of lines under
@@ -253,6 +256,33 @@ probes["disambiguate part cap"] = lambda: decomposed(
 probes["disambiguate no functional budget 1"] = lambda: disambiguate(
     SemilinearSet((LinearSet((0, 0), ((1, 0), (-1, 0))),)), budget=1
 )
+# cover BFS in layouts the net files lack: parity-halved and
+# orbit-alternating in 4D, eight orbits, and steps that are all even
+BFS_TEXTS = {
+    "pcu4": (
+        "dim 4\\nvertices 1\\nedge 1 1 1 0 0 0\\nedge 1 1 0 1 0 0\\n"
+        "edge 1 1 0 0 1 0\\nedge 1 1 0 0 0 1\\n"
+    ),
+    "dia4": (
+        "dim 4\\nvertices 2\\nedge 1 2 0 0 0 0\\nedge 1 2 1 0 0 0\\n"
+        "edge 1 2 0 1 0 0\\nedge 1 2 0 0 1 0\\nedge 1 2 0 0 0 1\\n"
+    ),
+    "dia cell": "dim 3\\nvertices 8\\n" + "".join(
+        f"edge {edge}\\n" for edge in (
+            "1 5 0 0 0", "1 6 0 -1 -1", "1 7 -1 0 -1", "1 8 -1 -1 0",
+            "2 5 0 0 0", "2 6 0 0 0", "2 7 -1 0 0", "2 8 -1 0 0",
+            "3 5 0 0 0", "3 6 0 -1 0", "3 7 0 0 0", "3 8 0 -1 0",
+            "4 5 0 0 0", "4 6 0 0 -1", "4 7 0 0 -1", "4 8 0 0 0",
+        )
+    ),
+    "all even": "dim 2\\nvertices 3\\nedge 3 3 0 2\\nedge 3 3 2 -2\\n",
+}
+for name, text in BFS_TEXTS.items():
+    g = parse_periodic_graph(text)
+    for origin in range(1, g.num_orbits + 1):
+        probes[f"bfs {name} o{origin} 20"] = lambda g=g, o=origin: list(
+            bfs_coordination(g, o, 20).values
+        )
 results = {}
 for label, probe in probes.items():
     try:
